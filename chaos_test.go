@@ -663,10 +663,11 @@ func TestOverloadReplayBypassesGuard(t *testing.T) {
 	}
 }
 
-// TestFloorStallWatchdog: with punctuations armed but the collector
-// effectively stalled, ingress runs ahead of a frozen merged floor and
-// the heartbeat watchdog must raise Health().FloorStalled plus the
-// floor_stalled trace event.
+// TestFloorStallWatchdog: with punctuations armed but each lane fed on
+// one side only, no lane can promise anything — a lane's punctuation is
+// the smaller of its two high-water marks — so ingress runs ahead of a
+// frozen merged floor and the heartbeat watchdog must raise
+// Health().FloorStalled plus the floor_stalled trace event.
 func TestFloorStallWatchdog(t *testing.T) {
 	cfg := Config[okR, okS]{
 		Workers:     1,
@@ -678,11 +679,7 @@ func TestFloorStallWatchdog(t *testing.T) {
 		KeyR:        okRKey,
 		KeyS:        okSKey,
 		Punctuate:   true,
-		// Far beyond the watchdog threshold, so the floor is frozen while
-		// the stall is detected — but short enough that Close (which waits
-		// out one collector sleep) returns promptly.
-		CollectPeriod: 2 * time.Second,
-		Obs:           ObsConfig{EventBuffer: 256},
+		Obs:         ObsConfig{EventBuffer: 256},
 		Adapt: AdaptConfig{
 			HeartbeatPeriod: time.Millisecond,
 			StallWatchdog:   20 * time.Millisecond,
@@ -695,11 +692,13 @@ func TestFloorStallWatchdog(t *testing.T) {
 	}
 	defer eng.Close()
 
-	// Fixed keys keep their lanes visibly active, so those lanes never
-	// get an idle-shard heartbeat promise — and with the collector
-	// stalled they never promise themselves. The merged floor (the
-	// minimum over lanes) is frozen while ingress advances: exactly the
-	// stall the watchdog watches.
+	// The two fixed keys live on different lanes, one fed only R tuples
+	// and the other only S. Both stay visibly active, so neither gets an
+	// idle-shard heartbeat promise, and neither can promise itself: its
+	// other high-water mark never moves. The collectors run on every
+	// arrival and still have nothing to punctuate, so the merged floor
+	// (the minimum over lanes) is frozen by construction while ingress
+	// advances: exactly the stall the watchdog watches.
 	deadline := time.Now().Add(10 * time.Second)
 	ts := int64(0)
 	for !eng.Health().FloorStalled {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,12 @@ type shardRow struct {
 }
 
 type shardReport struct {
-	Experiment      string     `json:"experiment"`
+	Experiment string `json:"experiment"`
+	// Cores and GOMAXPROCS say what box the rows come from: at a fixed
+	// worker budget the curve is a statement about the machine as much
+	// as about the engine.
+	Cores           int        `json:"cores"`
+	GOMAXPROCS      int        `json:"gomaxprocs"`
 	TotalWorkers    int        `json:"total_workers"`
 	WindowCount     int        `json:"window_count"`
 	Batch           int        `json:"batch"`
@@ -47,6 +53,8 @@ func shardScaling() error {
 	}
 	rep := shardReport{
 		Experiment:      "shard-scaling",
+		Cores:           runtime.NumCPU(),
+		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		TotalWorkers:    totalWorkers,
 		WindowCount:     2048,
 		Batch:           64,

@@ -42,7 +42,9 @@
 // ingress" below).
 //
 // The engine runs one goroutine per worker plus a collector; results
-// and (optionally) punctuations arrive on the OnOutput callback.
+// and (optionally) punctuations arrive on the OnOutput callback. The
+// collector is event-driven (see "Output latency" below): nothing on
+// the path from a worker's result to OnOutput waits for a timer.
 // Everything under internal/ — the protocol state machines, the
 // discrete-event simulator used by the experiment harness, and the
 // baselines — is exercised through cmd/llhjbench and the test suite.
@@ -80,6 +82,48 @@
 // accounting, routing), then hands the tuple to the owning shard
 // through a per-shard ingress gate, so a push blocked on one saturated
 // shard's back-pressure does not stall pushers bound for other shards.
+//
+// # Output latency: the event-driven collector
+//
+// Each pipeline has one collector goroutine (§5) that vacuums the
+// workers' result queues into the output stream and, when punctuating,
+// turns the pipeline's high-water marks into punctuations (§6.1). It
+// does not poll. It sleeps on an output doorbell owned by the live
+// pipeline (internal/pipeline.Live, the same notify-and-idle-flag
+// pattern the worker goroutines use among themselves): the collector
+// raises a parked flag, re-checks whether any result queue is
+// non-empty, the smaller high-water mark has moved past the last
+// punctuation, or the queues have closed, and only then blocks.
+// Workers ring once per handled message that queued a result or — when
+// punctuating — finished a batch, the driver rings when a heartbeat
+// raises the marks, a full result queue rings, and a closing queue
+// rings. A ring costs one atomic load while the collector is awake and
+// a non-blocking channel send when it is parked, so a result's way to
+// OnOutput is batch fill plus pipeline traversal plus one goroutine
+// wake-up, not a sleep: on the repository benchmark's per-tuple
+// Ordered workload the median result latency at the low rate went from
+// one 1 ms timer period (which no box delivers in under ~1.1 ms) to
+// about 0.2 ms. An idle engine runs no collector pass at all;
+// Snapshot.CollectorPasses / CollectorWakeups (llhj_collector_*_total)
+// make the doorbell's cost — passes per result — a scrapeable ratio.
+//
+// A pass keeps the §6.1.3 order — read the high-water marks, vacuum,
+// punctuate — so a punctuation never precedes a result with a smaller
+// timestamp, and it takes what was queued when it started rather than
+// chasing busy workers, so the punctuation is not held back behind
+// their output. The marks themselves are per worker: every worker
+// forwards a batch before scanning it, so a batch reaching the pipeline
+// end says nothing about the workers behind it, and a mark is the
+// timestamp up to which every worker has finished. Punctuations now
+// follow stream progress batch by batch (thousands a second), which is
+// why the downstream sorter (internal/order) holds results in a heap:
+// a punctuation costs in proportion to what it releases and allocates
+// nothing.
+//
+// Config.CollectPeriod is kept for source compatibility and now only
+// supplies the default of Adapt.HeartbeatPeriod, the one wall-clock
+// period left on the output path: how long an idle shard goes unticked
+// before it promises the ingress floor.
 //
 // # Batched ingress
 //
@@ -333,8 +377,8 @@
 // (MaxMigrationsPerSec, burst one) caps migration starts outright.
 //
 // Idle-shard heartbeats run independently of rebalancing (and are on
-// by default): a shard that received no tuples for a collect period
-// is ticked with the engine-wide ingress floor — sound because every
+// by default): a shard that received no tuples for a heartbeat period
+// (Adapt.HeartbeatPeriod, default CollectPeriod, default 1ms) is ticked with the engine-wide ingress floor — sound because every
 // future tuple of either side carries a timestamp at or above the
 // floor, and a result's timestamp is the later of its inputs — so its
 // punctuation promise, and with it Ordered-mode output, keeps flowing
@@ -473,8 +517,9 @@
 // llhj_admission_rejects_total). FloorStalled is the sharded
 // engine's watchdog (AdaptConfig.StallWatchdog) for a merged
 // punctuation floor that stops advancing while ingress runs ahead —
-// the symptom of a wedged collector or a shard that stopped
-// promising floors; it fires a floor_stalled event, and clears
+// the symptom of a shard that stopped promising floors (Snapshot's
+// FloorHolder / llhj_floor_holder names it) or of an OnOutput callback
+// that blocks its collector; it fires a floor_stalled event, and clears
 // itself (floor_recovered) if the floor moves again. The chaos
 // suite (chaos_test.go) holds the whole contract together: killed
 // runs under injected fsync/ENOSPC/torn-write faults restore to the
@@ -492,9 +537,12 @@
 // Joiner.StatsSnapshot returns a Snapshot: the cumulative Stats
 // counters plus live gauges a post-Close Stats call cannot answer —
 // the punctuation-floor lag (Snapshot.FloorLagNs, the paper's latency
-// proxy: newest admitted timestamp minus the merged floor), per-shard
-// live window footprints, per-shard expiry-queue depth, and the number
-// of key-groups currently mid-handoff. Stats itself is also sound
+// proxy: newest admitted timestamp minus the merged floor), the shard
+// pinning that floor (Snapshot.FloorHolder: whose latest punctuation is
+// the oldest, i.e. who Ordered output is waiting for), per-shard live
+// window footprints, per-shard expiry-queue depth, per-shard collector
+// passes and doorbell wake-ups, and the number of key-groups currently
+// mid-handoff. Stats itself is also sound
 // mid-run: every counter is an atomic, cumulative totals lag
 // concurrent pushers by at most the in-flight batches, and the
 // conservation invariant Σ ShardIngress ≤ RIn+SIn holds in every
@@ -527,7 +575,9 @@
 // llhj_results_total, llhj_punctuations_total, llhj_comparisons_total,
 // llhj_pending_expiries_total, llhj_shard_ingress_total{shard},
 // llhj_shard_results_total{shard}, llhj_live_window{side,shard},
-// llhj_expiry_depth{shard}, llhj_floor_lag_ns, llhj_handoffs_inflight,
+// llhj_expiry_depth{shard}, llhj_floor_lag_ns, llhj_floor_holder,
+// llhj_collector_passes_total{shard},
+// llhj_collector_wakeups_total{shard}, llhj_handoffs_inflight,
 // llhj_rebalances_total, llhj_keygroup_moves_total,
 // llhj_state_migrations_total, llhj_migrated_tuples_total,
 // llhj_slice_migrations_total, llhj_probe_dispatch_total{strategy},

@@ -3,6 +3,7 @@ package handshakejoin
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -265,25 +266,28 @@ func runKillRestore(t *testing.T, seed uint64, shards, batch int, winR, winS Win
 		t.Fatalf("seed %d: restored close: %v", seed, err)
 	}
 
-	// The contract: killed output below the checkpoint's punctuation
-	// floor, then the restored run's output, is the uninterrupted
-	// sequence exactly.
+	assertRecovered(t, fmt.Sprintf("seed %d (shards=%d batch=%d handoff=%v killAt=%d/%d)", seed, shards, batch, handoff, killAt, len(ops)),
+		outB.snap()[:killLen], st.LastPunct, outC.snap(), want.snap())
+}
+
+// assertRecovered checks the recovery contract: the killed run's output
+// below the checkpoint's punctuation floor, then the restored run's
+// output, is the reference sequence exactly.
+func assertRecovered(t *testing.T, label string, killed []orderedKey, floor int64, restored, want []orderedKey) {
+	t.Helper()
 	var combined []orderedKey
-	for _, k := range outB.snap()[:killLen] {
-		if k.TS < st.LastPunct {
+	for _, k := range killed {
+		if k.TS < floor {
 			combined = append(combined, k)
 		}
 	}
-	combined = append(combined, outC.snap()...)
-	wantSeq := want.snap()
-	if len(combined) != len(wantSeq) {
-		t.Fatalf("seed %d (shards=%d batch=%d handoff=%v killAt=%d/%d floor=%d): recovered %d results, uninterrupted run emitted %d",
-			seed, shards, batch, handoff, killAt, len(ops), st.LastPunct, len(combined), len(wantSeq))
+	combined = append(combined, restored...)
+	if len(combined) != len(want) {
+		t.Fatalf("%s, floor %d: recovered %d results, reference has %d", label, floor, len(combined), len(want))
 	}
-	for i := range wantSeq {
-		if combined[i] != wantSeq[i] {
-			t.Fatalf("seed %d (shards=%d batch=%d handoff=%v): position %d: got %+v, want %+v",
-				seed, shards, batch, handoff, i, combined[i], wantSeq[i])
+	for i := range want {
+		if combined[i] != want[i] {
+			t.Fatalf("%s: position %d: got %+v, want %+v", label, i, combined[i], want[i])
 		}
 	}
 }
@@ -526,4 +530,224 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	if st2.WALFrom != 40 {
 		t.Fatalf("second checkpoint covers %d WAL records, want 40", st2.WALFrom)
 	}
+}
+
+// TestCheckpointExcludesHeartbeatFlush pins the cut against the
+// heartbeat loop: with Batch 4, Ordered and heartbeats on, a Checkpoint
+// taken while tuples sit in partial lane batches — no Tick before it —
+// must not let a heartbeat flush a lane between that lane's snapshot
+// and the drain of its result queues. When it did, the batch's results
+// were in the snapshotted sorter and the batch in the snapshotted
+// buffer, and the restored engine emitted those pairs twice.
+//
+// Windows never expire here, so the result set is every key-equal pair
+// whatever the wall-clock flush points were, and Ordered output makes
+// the sequence a function of the set: the recovered output must be the
+// oracle's sequence exactly. The windows are big enough that the second
+// lane's snapshot outlasts two heartbeat ticks, which is what it takes
+// for the loop to call the first lane idle inside the cut.
+func TestCheckpointExcludesHeartbeatFlush(t *testing.T) {
+	iters, fill := 8, 8000
+	if testing.Short() || raceEnabled {
+		iters, fill = 5, 6000
+	}
+	const tail = 40
+	const step = int64(1000)
+	for it := 0; it < iters; it++ {
+		seed := uint64(0xBEA7 + it*104729)
+		rnd := workload.NewRand(seed)
+		cfg := Config[okR, okS]{
+			Workers:     1,
+			Shards:      2,
+			Predicate:   shardedEqui,
+			WindowR:     Window{Count: 1 << 20},
+			WindowS:     Window{Count: 1 << 20},
+			Batch:       4,
+			MaxInFlight: 2,
+			KeyR:        okRKey,
+			KeyS:        okSKey,
+			Ordered:     true,
+			Adapt:       AdaptConfig{HeartbeatPeriod: 50 * time.Microsecond},
+		}
+		o := newOracleEngine(cfg, shardedEqui)
+		dir := t.TempDir()
+		var outB durOut
+		cfgB := cfg
+		cfgB.OnOutput = outB.cb
+		cfgB.Durability = okCodecs(dir, 64, 0)
+		engB, err := New(cfgB)
+		if err != nil {
+			t.Fatalf("seed %d: durable engine: %v", seed, err)
+		}
+		push := func(eng Joiner[okR, okS], i int) {
+			// An odd number of pushes per pair of lanes and a key drawn
+			// per tuple leave partial batches behind at any cut.
+			ts := int64(i) * step
+			key := uint64(rnd.Intn(fill / 6))
+			if i%2 == 0 {
+				o.pushR(okR{Key: key}, ts)
+				if err := eng.PushR(okR{Key: key}, ts); err != nil {
+					t.Fatalf("seed %d: PushR: %v", seed, err)
+				}
+			} else {
+				o.pushS(okS{Key: key}, ts)
+				if err := eng.PushS(okS{Key: key}, ts); err != nil {
+					t.Fatalf("seed %d: PushS: %v", seed, err)
+				}
+			}
+		}
+		for i := 0; i < fill; i++ {
+			push(engB, i)
+		}
+		if err := engB.Checkpoint(""); err != nil { // no Tick first
+			t.Fatalf("seed %d: Checkpoint: %v", seed, err)
+		}
+		for i := fill; i < fill+tail; i++ {
+			push(engB, i)
+		}
+		st, err := CheckpointInfo(dir)
+		if err != nil {
+			t.Fatalf("seed %d: CheckpointInfo: %v", seed, err)
+		}
+		killLen := outB.len()
+		if err := engB.Close(); err != nil {
+			t.Fatalf("seed %d: killed close: %v", seed, err)
+		}
+
+		var outC durOut
+		cfgC := cfgB
+		cfgC.OnOutput = outC.cb
+		engC, err := New(cfgC)
+		if err != nil {
+			t.Fatalf("seed %d: restored engine: %v", seed, err)
+		}
+		if err := engC.Restore(""); err != nil {
+			t.Fatalf("seed %d: Restore: %v", seed, err)
+		}
+		if err := engC.Close(); err != nil {
+			t.Fatalf("seed %d: restored close: %v", seed, err)
+		}
+		o.close()
+
+		restored := outC.snap()
+		seen := make(map[[2]uint64]bool, len(restored))
+		for _, k := range restored {
+			id := [2]uint64{k.RSeq, k.SSeq}
+			if seen[id] {
+				t.Fatalf("seed %d (iteration %d): pair (R %d, S %d) emitted twice after Restore", seed, it, k.RSeq, k.SSeq)
+			}
+			seen[id] = true
+		}
+		assertRecovered(t, fmt.Sprintf("seed %d (iteration %d)", seed, it),
+			outB.snap()[:killLen], st.LastPunct, restored, o.orderedResults())
+	}
+}
+
+// TestRestoreWithControlLoopRunning restores an adaptive engine whose
+// control loop has been cycling since New. Restore replaces the
+// router's load counters and table wholesale; a cycle sampling them at
+// the same time is a data race (run under -race, where this test is
+// the regression), and the restored output must still be the oracle's
+// sequence with the loop moving groups underneath the replay.
+func TestRestoreWithControlLoopRunning(t *testing.T) {
+	const n, tail = 1600, 300
+	const step = int64(1000)
+	cfg := Config[okR, okS]{
+		Workers:     1,
+		Shards:      4,
+		Predicate:   shardedEqui,
+		WindowR:     Window{Count: 1 << 20},
+		WindowS:     Window{Count: 1 << 20},
+		Batch:       4,
+		MaxInFlight: 2,
+		KeyR:        okRKey,
+		KeyS:        okSKey,
+		Ordered:     true,
+		Adapt: AdaptConfig{
+			Enable:        true,
+			SamplePeriod:  100 * time.Microsecond,
+			SkewThreshold: 1.05,
+			Migration:     MigrationConfig{Enable: true, SliceTuples: 64},
+		},
+	}
+	rnd := workload.NewRand(0xC0FFEE)
+	o := newOracleEngine(cfg, shardedEqui)
+	push := func(eng Joiner[okR, okS], i int) {
+		ts := int64(i) * step
+		// Skewed keys give the planner something to move.
+		key := uint64(rnd.Intn(8))
+		if rnd.Intn(4) == 0 {
+			key = uint64(rnd.Intn(512))
+		}
+		if i%2 == 0 {
+			o.pushR(okR{Key: key}, ts)
+			if err := eng.PushR(okR{Key: key}, ts); err != nil {
+				t.Fatalf("PushR: %v", err)
+			}
+		} else {
+			o.pushS(okS{Key: key}, ts)
+			if err := eng.PushS(okS{Key: key}, ts); err != nil {
+				t.Fatalf("PushS: %v", err)
+			}
+		}
+	}
+	// cycled waits until the engine's control loop has completed a cycle.
+	cycled := func(eng Joiner[okR, okS]) {
+		se := eng.(*ShardedEngine[okR, okS])
+		for deadline := time.Now().Add(10 * time.Second); len(se.ctrl.LastSample()) == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("control loop never completed a cycle")
+			}
+			runtime.Gosched()
+		}
+	}
+
+	dir := t.TempDir()
+	var outB durOut
+	cfgB := cfg
+	cfgB.OnOutput = outB.cb
+	cfgB.Durability = okCodecs(dir, 64, 0)
+	engB, err := New(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		push(engB, i)
+	}
+	cycled(engB)
+	if err := engB.Checkpoint(""); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	for i := n; i < n+tail; i++ {
+		push(engB, i)
+	}
+	st, err := CheckpointInfo(dir)
+	if err != nil {
+		t.Fatalf("CheckpointInfo: %v", err)
+	}
+	killLen := outB.len()
+	if err := engB.Close(); err != nil {
+		t.Fatalf("killed close: %v", err)
+	}
+
+	var outC durOut
+	cfgC := cfgB
+	cfgC.OnOutput = outC.cb
+	engC, err := New(cfgC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycled(engC) // the loop is live before the state underneath it is replaced
+	if err := engC.Restore(""); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for i := n + tail; i < n+2*tail; i++ {
+		push(engC, i)
+	}
+	if err := engC.Close(); err != nil {
+		t.Fatalf("restored close: %v", err)
+	}
+	o.close()
+
+	assertRecovered(t, "adaptive restore", outB.snap()[:killLen], st.LastPunct, outC.snap(), o.orderedResults())
 }

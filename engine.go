@@ -61,6 +61,8 @@ type Engine[L, RT any] struct {
 	sortMu sync.Mutex
 	closed bool
 
+	punctuate bool // Config.Punctuate: the lane's collector emits punctuations
+
 	// dur is the durability runtime (Config.Durability): the WAL
 	// handle, the replay flag, and checkpoint bookkeeping.
 	dur durState[L, RT]
@@ -312,6 +314,8 @@ func newEngine[L, RT any](cfg Config[L, RT]) (*Engine[L, RT], error) {
 		sLastTS: minTS,
 		rWin:    windowTracker{spec: cfg.WindowR},
 		sWin:    windowTracker{spec: cfg.WindowS},
+
+		punctuate: cfg.Punctuate,
 	}
 	e.rLastAt.Store(minTS)
 	e.sLastAt.Store(minTS)
@@ -765,9 +769,16 @@ func (e *Engine[L, RT]) StatsSnapshot() Snapshot {
 	snap := Snapshot{
 		Stats:       e.Stats(),
 		FloorLagNs:  -1,
+		FloorHolder: -1,
 		LiveWindowR: []int64{int64(agg.LiveWR)},
 		LiveWindowS: []int64{int64(agg.LiveWS)},
 		ExpiryDepth: []int64{int64(e.lane.ExpiryDepth())},
+
+		CollectorPasses:  []uint64{e.lane.CollectorPasses()},
+		CollectorWakeups: []uint64{e.lane.CollectorWakeups()},
+	}
+	if e.punctuate {
+		snap.FloorHolder = 0
 	}
 	newest := e.rLastAt.Load()
 	if s := e.sLastAt.Load(); s > newest {

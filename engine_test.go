@@ -1,6 +1,7 @@
 package handshakejoin
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,12 +167,19 @@ func TestEngineOrderedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := time.Now().UnixNano()
+	lane := eng.(*Engine[trade, quote]).lane
 	for i := 0; i < 600; i++ {
 		ts := base + int64(i)*1e5
 		eng.PushR(trade{Sym: i % 10}, ts)
 		eng.PushS(quote{Sym: i % 10}, ts)
 		if i%50 == 0 {
-			time.Sleep(time.Millisecond) // let the collector punctuate
+			// Let the collector punctuate. The workload emits ~30 results
+			// a tuple, so the one collector — not the four workers — is
+			// the slow stage; wait until it has taken what they queued
+			// rather than guessing how long that takes on a busy box.
+			for lane.Collected() < lane.PipelineStats().Results {
+				runtime.Gosched()
+			}
 		}
 	}
 	eng.Close()

@@ -205,8 +205,12 @@ type Config[L, RT any] struct {
 	// it conservatively). 0 disables admission control.
 	MaxLiveTuples int
 
-	// CollectPeriod is how often the collector vacuums the result
-	// queues (and punctuates). Default 1ms.
+	// CollectPeriod no longer paces the collector, which is
+	// event-driven: it vacuums the result queues (and punctuates) when a
+	// worker has queued results or a high-water mark has moved, and
+	// sleeps on a doorbell otherwise — no timer sits between a result
+	// and OnOutput. The field remains as the default of
+	// AdaptConfig.HeartbeatPeriod, its only effect. Default 1ms.
 	CollectPeriod time.Duration
 	// MaxInFlight bounds the number of messages in flight inside the
 	// pipeline; Push blocks when it is reached. It must stay far below
@@ -224,7 +228,7 @@ type Config[L, RT any] struct {
 // AdaptConfig tunes the adaptive shard runtime of a ShardedEngine.
 //
 // The runtime has two independent parts. Idle-shard heartbeats (on by
-// default) let a shard that received no tuples for a collect period
+// default) let a shard that received no tuples for a heartbeat period
 // promise the engine-wide ingress floor, so the merged punctuation —
 // and with it Ordered-mode output — keeps flowing when one shard's key
 // range goes quiet. Skew-aware rebalancing (off by default, Enable)
@@ -268,8 +272,11 @@ type AdaptConfig struct {
 	// at slightly more bookkeeping. Default 64 per shard (bounded to
 	// 64..4096); must be >= Shards when set.
 	KeyGroups int
-	// HeartbeatPeriod overrides the idle-shard heartbeat cadence.
-	// Default CollectPeriod.
+	// HeartbeatPeriod is the idle-shard heartbeat cadence: how long a
+	// shard goes without traffic before it is ticked with the ingress
+	// floor, and so the longest an idle shard holds Ordered output back.
+	// It is the one wall-clock period left on the output path (busy
+	// shards punctuate on every batch, by event). Default CollectPeriod.
 	HeartbeatPeriod time.Duration
 	// StallWatchdog, when > 0, arms a watchdog on the heartbeat loop:
 	// if the merged punctuation floor fails to advance for this long

@@ -586,6 +586,16 @@ func (c *Controller) LastSample() []LaneSample {
 	return append([]LaneSample(nil), c.sample...)
 }
 
+// Pause waits for a running control cycle to finish and keeps the next
+// one from starting until Resume. A driver about to overwrite router
+// state wholesale (Restore) brackets the overwrite with the pair, so no
+// cycle samples counters that are being copied over. The caller must
+// not hold any lock a cycle's migration callbacks take.
+func (c *Controller) Pause() { c.mu.Lock() }
+
+// Resume lets control cycles run again after Pause.
+func (c *Controller) Resume() { c.mu.Unlock() }
+
 // Run loops Step every SamplePeriod until stop is closed. It is meant
 // to run on its own goroutine.
 func (c *Controller) Run(stop <-chan struct{}) {

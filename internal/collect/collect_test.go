@@ -127,3 +127,81 @@ func TestCollectorPunctuationInvariant(t *testing.T) {
 		t.Fatal("punctuation invariant violated")
 	}
 }
+
+// TestCollectorPendingTracksWhatAPassWouldDo pins the re-check an
+// event-driven collector makes before it sleeps: true exactly when a
+// pass has a result to vacuum, a punctuation to emit, or the closed
+// queues to report.
+func TestCollectorPendingTracksWhatAPassWouldDo(t *testing.T) {
+	qs := mkQueues(2)
+	hwmR, hwmS := int64(-1), int64(-1)
+	c := New(qs, func() (int64, int64) { return hwmR, hwmS }, func(Item[int, int]) {}, Config{Punctuate: true})
+	if c.Pending() {
+		t.Fatal("pending on empty queues with no stream progress")
+	}
+	put(qs[1], 1, 10)
+	if !c.Pending() {
+		t.Fatal("queued result not pending")
+	}
+	c.RunOnce()
+	if c.Pending() {
+		t.Fatal("still pending after the pass took the result")
+	}
+	hwmR = 50 // one mark alone promises nothing
+	if c.Pending() {
+		t.Fatal("pending although min(hwm) has not moved")
+	}
+	hwmS = 40
+	if !c.Pending() {
+		t.Fatal("advanced high-water marks not pending")
+	}
+	c.RunOnce()
+	if c.Pending() || c.Punctuations() != 1 {
+		t.Fatalf("after punctuating: pending %v, punctuations %d", c.Pending(), c.Punctuations())
+	}
+	qs[0].Close()
+	if c.Pending() {
+		t.Fatal("one closed queue of two is not the end of the stream")
+	}
+	qs[1].Close()
+	if !c.Pending() {
+		t.Fatal("every queue closed must wake the collector for its final pass")
+	}
+	if c.Passes() != 2 {
+		t.Fatalf("Passes = %d, want 2", c.Passes())
+	}
+
+	// Without punctuation the marks are nobody's business.
+	plain := New(mkQueues(1), func() (int64, int64) { return 99, 99 }, func(Item[int, int]) {}, Config{})
+	if plain.Pending() {
+		t.Fatal("non-punctuating collector pending on high-water marks")
+	}
+}
+
+// TestCollectorRunWaitsBetweenPasses: Run hands its wait func Pending
+// and runs a pass each time wait returns, until the queues close.
+func TestCollectorRunWaitsBetweenPasses(t *testing.T) {
+	qs := mkQueues(1)
+	var got int
+	c := New(qs, nil, func(Item[int, int]) { got++ }, Config{})
+	waits := 0
+	c.Run(func(pending func() bool) {
+		waits++
+		if pending() {
+			t.Errorf("wait %d: pending right after a pass", waits)
+		}
+		switch waits {
+		case 1:
+			put(qs[0], 1, 10)
+		case 2:
+			put(qs[0], 2, 20)
+			qs[0].Close()
+		}
+		if !pending() {
+			t.Errorf("wait %d: not pending after the producer published", waits)
+		}
+	})
+	if got != 2 || waits != 2 || c.Passes() != 3 {
+		t.Fatalf("collected %d results over %d waits and %d passes, want 2, 2, 3", got, waits, c.Passes())
+	}
+}

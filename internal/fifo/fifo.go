@@ -256,6 +256,10 @@ func (c *Chan[T]) Len() int { return len(c.ch) }
 // Cap implements Queue.
 func (c *Chan[T]) Cap() int { return cap(c.ch) }
 
+// Closed reports whether Close has been called; pending values may
+// still be queued.
+func (c *Chan[T]) Closed() bool { return c.closed.Load() }
+
 // Close implements Queue. It must be called at most once and only by the
 // producer side.
 func (c *Chan[T]) Close() {

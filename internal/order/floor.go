@@ -51,3 +51,17 @@ func (f *PunctFloor) Advance(i int, tp int64) (floor int64, advanced bool) {
 // Floor returns the current global floor (math.MinInt64 until every
 // source has punctuated).
 func (f *PunctFloor) Floor() int64 { return f.floor }
+
+// Holder returns the source pinning the floor: the one whose latest
+// punctuation is the smallest (the lowest index among equals) — the
+// source the merged stream is waiting for. It scans the sources: the
+// question comes from a metrics scrape, not from the punctuation path.
+func (f *PunctFloor) Holder() int {
+	holder := 0
+	for k, h := range f.hwm {
+		if h < f.hwm[holder] {
+			holder = k
+		}
+	}
+	return holder
+}

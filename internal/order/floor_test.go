@@ -50,3 +50,27 @@ func TestPunctFloorMonotonicAndIdempotent(t *testing.T) {
 		prev = floor
 	}
 }
+
+func TestPunctFloorHolderIsTheSlowestSource(t *testing.T) {
+	f := NewPunctFloor(3)
+	if f.Holder() != 0 {
+		t.Fatalf("initial holder = %d, want 0 (lowest index among equals)", f.Holder())
+	}
+	f.Advance(0, 10)
+	if f.Holder() != 1 {
+		t.Fatalf("holder = %d, want 1: sources 1 and 2 have not punctuated", f.Holder())
+	}
+	f.Advance(1, 30)
+	f.Advance(2, 20)
+	if f.Holder() != 0 || f.Floor() != 10 {
+		t.Fatalf("holder, floor = %d, %d, want 0, 10", f.Holder(), f.Floor())
+	}
+	f.Advance(0, 40)
+	if f.Holder() != 2 || f.Floor() != 20 {
+		t.Fatalf("holder, floor = %d, %d, want 2, 20", f.Holder(), f.Floor())
+	}
+	f.Advance(0, 35) // stale: nothing moves
+	if f.Holder() != 2 {
+		t.Fatalf("stale punctuation moved the holder to %d", f.Holder())
+	}
+}

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -118,5 +119,154 @@ func TestSorterPropertyOrderedOutput(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSorter is the sorter this package shipped before the heap: hold
+// results in arrival order, and on every punctuation partition the
+// whole buffer and sort what is ready. It defines the output order the
+// heap must reproduce.
+type refSorter struct {
+	buf       []core.Result[int, int]
+	lastPunct int64
+	out       []core.Result[int, int]
+}
+
+func (s *refSorter) push(it collect.Item[int, int]) {
+	if !it.Punct {
+		s.buf = append(s.buf, it.Result)
+		return
+	}
+	if it.TS <= s.lastPunct {
+		return
+	}
+	s.lastPunct = it.TS
+	var ready, keep []core.Result[int, int]
+	for _, r := range s.buf {
+		if r.Pair.TS() < it.TS {
+			ready = append(ready, r)
+		} else {
+			keep = append(keep, r)
+		}
+	}
+	s.buf = keep
+	sort.Slice(ready, func(i, j int) bool {
+		ti, tj := ready[i].Pair.TS(), ready[j].Pair.TS()
+		if ti != tj {
+			return ti < tj
+		}
+		if ready[i].Pair.R.Seq != ready[j].Pair.R.Seq {
+			return ready[i].Pair.R.Seq < ready[j].Pair.R.Seq
+		}
+		return ready[i].Pair.S.Seq < ready[j].Pair.S.Seq
+	})
+	s.out = append(s.out, ready...)
+}
+
+// randomStream is a punctuated stream with heavy timestamp ties (so the
+// sequence-number tie-breaks decide the order), stale punctuations, and
+// stretches without any punctuation.
+func randomStream(seed uint64, n int) []collect.Item[int, int] {
+	rnd := workload.NewRand(seed)
+	items := make([]collect.Item[int, int], 0, n+1)
+	lastPunct := int64(0)
+	for i := 0; i < n; i++ {
+		switch rnd.Intn(5) {
+		case 0:
+			lastPunct += int64(rnd.Intn(12))
+			items = append(items, punct(lastPunct))
+		case 1:
+			items = append(items, punct(lastPunct-int64(rnd.Intn(5)))) // stale
+		default:
+			rts := lastPunct + int64(rnd.Intn(20))
+			sts := lastPunct - int64(rnd.Intn(20))
+			items = append(items, item(res(uint64(rnd.Intn(6)), uint64(i), rts, sts)))
+		}
+	}
+	return append(items, punct(int64(1)<<62-1)) // what Flush pushes
+}
+
+// TestSorterMatchesPartitionAndSortReference: the heap releases the
+// identical sequence, result for result, as the reference on random
+// punctuated streams.
+func TestSorterMatchesPartitionAndSortReference(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		var got []core.Result[int, int]
+		s := NewSorter(func(r core.Result[int, int]) { got = append(got, r) })
+		ref := &refSorter{lastPunct: -1}
+		for _, it := range randomStream(seed, 400) {
+			s.Push(it)
+			ref.push(it)
+			if len(got) != len(ref.out) {
+				t.Fatalf("seed %d: released %d results where the reference released %d", seed, len(got), len(ref.out))
+			}
+		}
+		for i := range ref.out {
+			if got[i] != ref.out[i] {
+				t.Fatalf("seed %d: position %d: got %+v, want %+v", seed, i, got[i].Pair, ref.out[i].Pair)
+			}
+		}
+		if s.Buffered() != 0 || !s.Monotonic() || s.Released() != uint64(len(got)) {
+			t.Fatalf("seed %d: buffered %d, monotonic %v, released %d of %d", seed, s.Buffered(), s.Monotonic(), s.Released(), len(got))
+		}
+	}
+}
+
+// TestSorterSnapshotRestoreRoundTrips: a sorter restored mid-stream
+// from a snapshot — into a sorter that already held something else —
+// continues with exactly the output the original produces.
+func TestSorterSnapshotRestoreRoundTrips(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		items := randomStream(seed, 300)
+		cut := len(items) / 2
+		var a, b []core.Result[int, int]
+		orig := NewSorter(func(r core.Result[int, int]) { a = append(a, r) })
+		for _, it := range items[:cut] {
+			orig.Push(it)
+		}
+		st := orig.Snapshot()
+		before := len(a)
+
+		restored := NewSorter(func(r core.Result[int, int]) { b = append(b, r) })
+		restored.Push(item(res(99, 99, 7, 7))) // must not survive Restore
+		restored.Restore(st)
+		if restored.Buffered() != orig.Buffered() || restored.Released() != orig.Released() {
+			t.Fatalf("seed %d: restored holds %d / released %d, original %d / %d",
+				seed, restored.Buffered(), restored.Released(), orig.Buffered(), orig.Released())
+		}
+		for _, it := range items[cut:] {
+			orig.Push(it)
+			restored.Push(it)
+		}
+		if len(b) != len(a)-before {
+			t.Fatalf("seed %d: restored sorter released %d results, original %d", seed, len(b), len(a)-before)
+		}
+		for i := range b {
+			if b[i] != a[before+i] {
+				t.Fatalf("seed %d: position %d after the cut: got %+v, want %+v", seed, i, b[i].Pair, a[before+i].Pair)
+			}
+		}
+	}
+}
+
+// TestSorterPunctuationAllocatesNothing: in steady state — the heap's
+// backing grown to the working set — a punctuation and the results it
+// releases allocate nothing, however often punctuations come.
+func TestSorterPunctuationAllocatesNothing(t *testing.T) {
+	s := NewSorter(func(core.Result[int, int]) {})
+	ts, seq := int64(0), uint64(0)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			ts++
+			seq++
+			s.Push(item(res(seq, seq, ts+int64(i%7), ts)))
+		}
+		s.Push(punct(ts - 16)) // releases most, keeps a tail
+	}
+	for i := 0; i < 8; i++ {
+		round() // warm-up: grow the backing
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("%v allocations per punctuation round in steady state, want 0", allocs)
 	}
 }

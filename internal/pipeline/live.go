@@ -21,7 +21,9 @@ import (
 // Results are written to per-node queues (Q1..Qn in Figure 15) and
 // drained by a collector (package collect). High-water marks for
 // punctuation generation are published through atomics by the pipeline
-// end nodes.
+// end nodes. The collector does not poll: it parks on the output
+// doorbell (WaitOutput), which the nodes ring whenever they leave it
+// something to do.
 type Live[L, R any] struct {
 	nodes []core.NodeLogic[L, R]
 	clk   clock.Clock
@@ -39,7 +41,26 @@ type Live[L, R any] struct {
 	entryCap int
 	depthCap int
 
-	hwmR, hwmS atomic.Int64
+	// High-water marks (§6.1.1), indexed R = 0, S = 1 like the links
+	// the sides arrive on. done[k] is node k's own progress: the
+	// timestamp of the last full arrival of each side whose handler has
+	// returned there. Nodes forward a batch before they scan it, so a
+	// tuple reaching the pipeline end says nothing about the nodes behind
+	// it — they may still be emitting its results — and the mark a
+	// punctuation may rest on is the slowest node's. promised holds what
+	// the driver vouched for on top (AdvanceHWM).
+	done     []nodeMarks
+	promised [2]atomic.Int64
+
+	// Output doorbell: the mirror image of notify/idle, with the
+	// collector as the one sleeper and every node (plus the driver's
+	// AdvanceHWM) as ringers. outParked is set only while the collector
+	// is about to block or blocked in WaitOutput, so a ring costs one
+	// atomic load whenever the collector is already awake.
+	outBell    chan struct{}
+	outParked  atomic.Bool
+	outWakeups atomic.Uint64
+	punctuate  bool
 
 	depth atomic.Int64 // messages in flight across all links
 
@@ -61,6 +82,13 @@ type Live[L, R any] struct {
 // collector.
 const seqPoolCap = 64
 
+// nodeMarks is one node's stream progress, written by that node's
+// goroutine only and padded so neighbours do not share a cache line.
+type nodeMarks struct {
+	ts [2]atomic.Int64
+	_  [48]byte
+}
+
 // LiveConfig tunes the live runtime.
 type LiveConfig struct {
 	// LinkCap bounds the number of messages the driver may have pending
@@ -76,6 +104,11 @@ type LiveConfig struct {
 	// ResultCap is the capacity of each per-node result queue.
 	// Default 65536.
 	ResultCap int
+	// Punctuate tells the runtime that its collector turns high-water
+	// marks into punctuations, so an advancing mark is output too and
+	// rings the output doorbell. Without it only results (and closing
+	// queues) ring.
+	Punctuate bool
 }
 
 func (c *LiveConfig) defaults() {
@@ -107,6 +140,10 @@ func NewLive[L, R any](n int, build core.Builder[L, R], clk clock.Clock, cfg Liv
 		notify:   make([]chan struct{}, n),
 		idle:     make([]atomic.Bool, n),
 		resultQ:  make([]*fifo.Chan[core.Result[L, R]], n),
+		done:     make([]nodeMarks, n),
+
+		outBell:   make(chan struct{}, 1),
+		punctuate: cfg.Punctuate,
 	}
 	for k := 0; k < n; k++ {
 		lv.nodes = append(lv.nodes, build(k))
@@ -122,11 +159,21 @@ func NewLive[L, R any](n int, build core.Builder[L, R], clk clock.Clock, cfg Liv
 	return lv
 }
 
-// HWMR returns the R-side high-water mark tmax,R (§6.1.1).
-func (lv *Live[L, R]) HWMR() int64 { return lv.hwmR.Load() }
+// HWMR returns the R-side high-water mark tmax,R (§6.1.1): every node
+// has finished every R tuple stamped up to it, so no result still to be
+// queued carries an R timestamp below it.
+func (lv *Live[L, R]) HWMR() int64 { return lv.hwm(0) }
 
 // HWMS returns the S-side high-water mark tmax,S.
-func (lv *Live[L, R]) HWMS() int64 { return lv.hwmS.Load() }
+func (lv *Live[L, R]) HWMS() int64 { return lv.hwm(1) }
+
+func (lv *Live[L, R]) hwm(side int) int64 {
+	m := lv.done[0].ts[side].Load()
+	for k := 1; k < len(lv.done); k++ {
+		m = min(m, lv.done[k].ts[side].Load())
+	}
+	return max(m, lv.promised[side].Load())
+}
 
 // ResultQueues exposes the per-node result queues for the collector.
 func (lv *Live[L, R]) ResultQueues() []*fifo.Chan[core.Result[L, R]] { return lv.resultQ }
@@ -169,21 +216,24 @@ func (lv *Live[L, R]) put(node, dir int, msg core.Msg[L, R]) bool {
 // left and right input channels and dispatch to the handlers.
 func (lv *Live[L, R]) nodeLoop(k int) {
 	defer lv.wg.Done()
-	defer lv.resultQ[k].Close()
+	defer func() {
+		// The collector's loop ends on the pass that finds every queue
+		// closed, so a closing queue is an event it must hear about.
+		lv.resultQ[k].Close()
+		lv.ringOutput()
+	}()
 	em := &liveEmitter[L, R]{lv: lv, k: k}
 	left, right := lv.links[k][0], lv.links[k][1]
 	for {
 		progress := false
 		if m, ok, _ := left.TryGet(); ok {
 			lv.nodes[k].HandleLeft(m, em)
-			lv.release(m)
-			lv.depth.Add(-1)
+			lv.handled(em, 0, m)
 			progress = true
 		}
 		if m, ok, _ := right.TryGet(); ok {
 			lv.nodes[k].HandleRight(m, em)
-			lv.release(m)
-			lv.depth.Add(-1)
+			lv.handled(em, 1, m)
 			progress = true
 		}
 		if progress {
@@ -203,6 +253,33 @@ func (lv *Live[L, R]) nodeLoop(k int) {
 	}
 }
 
+// handled retires message m, taken from link dir (0 = left: R arrivals,
+// 1 = right: S arrivals), once the node's handler has returned: a full
+// arrival moves the node's progress mark, whatever the handler left for
+// the collector is rung in — once per message, not once per result (a
+// futex wake per result is measurable on join-heavy batches) — and the
+// message is released.
+func (lv *Live[L, R]) handled(em *liveEmitter[L, R], dir int, m core.Msg[L, R]) {
+	if m.Kind == core.KindArrival && m.Mode == core.ArriveFull {
+		ts, ok := int64(0), false
+		if dir == 0 && len(m.R) > 0 {
+			ts, ok = m.R[len(m.R)-1].TS, true
+		} else if dir == 1 && len(m.S) > 0 {
+			ts, ok = m.S[len(m.S)-1].TS, true
+		}
+		if ok {
+			lv.done[em.k].ts[dir].Store(ts)
+			em.output = em.output || lv.punctuate
+		}
+	}
+	if em.output {
+		em.output = false
+		lv.ringOutput()
+	}
+	lv.release(m)
+	lv.depth.Add(-1)
+}
+
 // release retires one handled message against its recycling token, if
 // any: the last handler to finish hands the backing slice back to the
 // driver (see core.Free for why this must wait for every handler, not
@@ -213,11 +290,55 @@ func (lv *Live[L, R]) release(m core.Msg[L, R]) {
 	}
 }
 
+// ringOutput wakes the collector if it is parked. Callers publish what
+// they ring about (a queued result, a raised high-water mark, a closed
+// queue) first: WaitOutput sets outParked and then re-checks for
+// pending output, so either the ringer sees the flag or the collector
+// sees the output. The bell holds one token; a second ring while one is
+// pending adds nothing, because the collector's next pass takes
+// everything there is.
+func (lv *Live[L, R]) ringOutput() {
+	if !lv.outParked.Load() {
+		return
+	}
+	select {
+	case lv.outBell <- struct{}{}:
+	default:
+	}
+}
+
+// WaitOutput parks the calling goroutine — the collector, the bell's
+// only sleeper — until there is output to collect. pending must report
+// whether a collection pass would find anything to do; it is evaluated
+// after the parked flag is up, which closes the window between the
+// collector's last pass and its sleep. No timer is involved: a
+// collector nobody rings sleeps forever, and Stop rings it through the
+// closing result queues.
+func (lv *Live[L, R]) WaitOutput(pending func() bool) {
+	select {
+	case <-lv.outBell: // token of a ring the last pass already served
+	default:
+	}
+	lv.outParked.Store(true)
+	if !pending() {
+		<-lv.outBell
+		lv.outWakeups.Add(1)
+	}
+	lv.outParked.Store(false)
+}
+
+// OutputWakeups returns how often the collector actually slept in
+// WaitOutput and was woken by a ring.
+func (lv *Live[L, R]) OutputWakeups() uint64 { return lv.outWakeups.Load() }
+
 // liveEmitter implements core.Emitter (and core.SeqBufSource) for
-// node k.
+// node k. It lives on the node's goroutine.
 type liveEmitter[L, R any] struct {
 	lv *Live[L, R]
 	k  int
+	// output records that the message being handled produced something
+	// for the collector (see Live.handled).
+	output bool
 }
 
 // TakeSeqBuf implements core.SeqBufSource.
@@ -290,31 +411,36 @@ func (e *liveEmitter[L, R]) EmitRight(m core.Msg[L, R]) {
 func (e *liveEmitter[L, R]) EmitResult(p stream.Pair[L, R]) {
 	r := core.Result[L, R]{Pair: p, At: e.lv.clk.Now()}
 	q := e.lv.resultQ[e.k]
+	e.output = true
 	for {
 		ok, err := q.TryPut(r)
 		if ok || err != nil {
 			return
 		}
-		runtime.Gosched() // collector must catch up
+		// The collector must catch up, and this handler will not get to
+		// its end-of-message ring before it does.
+		e.lv.ringOutput()
+		runtime.Gosched()
 	}
 }
 
-func (e *liveEmitter[L, R]) StreamEnd(side stream.Side, ts int64) {
-	e.lv.AdvanceHWM(side, ts)
-}
+// StreamEnd is a no-op: the live runtime keeps a progress mark per node
+// (see Live.done) instead of trusting the end node's view.
+func (e *liveEmitter[L, R]) StreamEnd(stream.Side, int64) {}
 
 // AdvanceHWM raises one side's high-water mark to ts (never lowers
-// it). Besides the pipeline-end StreamEnd path, drivers call this to
-// promise stream progress on an idle, quiescent pipeline: when the
+// it). Drivers call this to promise stream progress the nodes' own
+// marks cannot show, on an idle, quiescent pipeline: when the
 // driver knows every future tuple of both sides carries a timestamp
 // >= ts and the pipeline holds no in-flight arrivals, no future result
 // can have a timestamp below ts (a result's timestamp is the later of
 // its two inputs), so the promise is sound even though no tuple
-// carried it through the pipeline.
+// carried it through the pipeline. A mark that moved is output for a
+// punctuating collector, so it rings the output doorbell.
 func (lv *Live[L, R]) AdvanceHWM(side stream.Side, ts int64) {
-	hwm := &lv.hwmR
+	hwm := &lv.promised[0]
 	if side == stream.S {
-		hwm = &lv.hwmS
+		hwm = &lv.promised[1]
 	}
 	for {
 		cur := hwm.Load()
@@ -322,8 +448,11 @@ func (lv *Live[L, R]) AdvanceHWM(side stream.Side, ts int64) {
 			return
 		}
 		if hwm.CompareAndSwap(cur, ts) {
-			return
+			break
 		}
+	}
+	if lv.punctuate {
+		lv.ringOutput()
 	}
 }
 

@@ -31,7 +31,9 @@ type LaneConfig struct {
 	// MaxInFlight bounds the messages in flight inside this lane's
 	// pipeline.
 	MaxInFlight int
-	// CollectPeriod is the collector vacuum interval.
+	// CollectPeriod is unused by the lane: its collector sleeps on the
+	// pipeline's output doorbell, not on a period. The field stays for
+	// source compatibility with callers that still set one.
 	CollectPeriod time.Duration
 	// Punctuate enables punctuation generation on this lane's collector.
 	Punctuate bool
@@ -88,7 +90,10 @@ func (p *pool[T]) put(x T) {
 
 // Lane is one shard of a sharded engine — or the single pipeline of an
 // unsharded one: the per-pipeline driver state (batch buffers and
-// expiry queues), one live pipeline, and its collector goroutine.
+// expiry queues), one live pipeline, and its collector goroutine. The
+// collector is event-driven: it runs a pass when a node has queued
+// results or (with Punctuate) a high-water mark has moved, and sleeps
+// on the pipeline's output doorbell otherwise.
 //
 // All driver entry points are serialized by an internal mutex, so a
 // Lane may be fed concurrently from both stream sides; the fan-out
@@ -133,14 +138,14 @@ func NewLane[L, R any](cfg LaneConfig, build core.Builder[L, R], out func(collec
 		sExp: NewExpiryQueue(cfg.DedupeS),
 	}
 	l.recycleFn = l.recycle
-	l.lv = pipeline.NewLive(cfg.Workers, build, cfg.Clock, pipeline.LiveConfig{DepthCap: cfg.MaxInFlight})
+	l.lv = pipeline.NewLive(cfg.Workers, build, cfg.Clock, pipeline.LiveConfig{DepthCap: cfg.MaxInFlight, Punctuate: cfg.Punctuate})
 	l.coll = collect.New(l.lv.ResultQueues(), func() (int64, int64) {
 		return l.lv.HWMR(), l.lv.HWMS()
 	}, out, collect.Config{Punctuate: cfg.Punctuate})
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		l.coll.Run(func() { time.Sleep(cfg.CollectPeriod) })
+		l.coll.Run(l.lv.WaitOutput)
 	}()
 	return l
 }
@@ -1016,3 +1021,10 @@ func (l *Lane[L, R]) Collected() uint64 { return l.coll.Collected() }
 
 // Punctuations returns the number of punctuations this lane emitted.
 func (l *Lane[L, R]) Punctuations() uint64 { return l.coll.Punctuations() }
+
+// CollectorPasses returns the number of collection passes this lane's
+// collector has run; CollectorWakeups how often it slept on the output
+// doorbell and was rung awake. Passes per result is what the doorbell
+// costs; a lane nobody feeds adds to neither.
+func (l *Lane[L, R]) CollectorPasses() uint64  { return l.coll.Passes() }
+func (l *Lane[L, R]) CollectorWakeups() uint64 { return l.lv.OutputWakeups() }

@@ -76,6 +76,15 @@ func (m *Merge[L, R]) Floor() int64 {
 	return m.floor.Floor()
 }
 
+// FloorHolder returns the lane pinning the merged floor: the one whose
+// latest punctuation is the smallest, i.e. the shard ordered output is
+// currently waiting for (the lowest index among equals).
+func (m *Merge[L, R]) FloorHolder() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.floor.Holder()
+}
+
 // ShardResults returns a copy of the per-shard result counts — the
 // load-balance view of the partitioner.
 func (m *Merge[L, R]) ShardResults() []uint64 {

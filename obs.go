@@ -65,6 +65,11 @@ type Snapshot struct {
 	// ever further behind ingress. -1 while either side is unknown
 	// (nothing pushed yet, or no floor promised yet).
 	FloorLagNs int64
+	// FloorHolder is the shard pinning the merged punctuation floor:
+	// the one whose latest punctuation is the oldest, which Ordered
+	// output is waiting for (the lowest index among equals; 0 on a
+	// single-pipeline engine). -1 when the engine does not punctuate.
+	FloorHolder int
 	// InFlightHandoffs counts key-groups currently mid-handoff
 	// (routing swapped, window state still split across two shards).
 	InFlightHandoffs int
@@ -76,6 +81,13 @@ type Snapshot struct {
 	// ExpiryDepth is the per-shard count of scheduled-but-not-yet-due
 	// expiry entries — the backlog the window slide is working off.
 	ExpiryDepth []int64
+	// CollectorPasses is the per-shard count of collection passes and
+	// CollectorWakeups how often each shard's collector slept on its
+	// output doorbell and was rung awake. The collector is event-driven,
+	// so both stand still on an idle shard; passes per result is what
+	// the doorbell costs.
+	CollectorPasses  []uint64
+	CollectorWakeups []uint64
 	// NextEventSeq is the sequence number the next trace event will
 	// get; pass it to Events as since to drain only newer events. 0
 	// when tracing is disabled.
@@ -156,7 +168,14 @@ func gatherDump(snap Snapshot, hist *metrics.AtomicHistogram, ring *obs.Ring) ob
 	for i, v := range snap.ExpiryDepth {
 		gauge("llhj_expiry_depth", "Scheduled-but-not-due expiry entries per shard.", v, [2]string{"shard", strconv.Itoa(i)})
 	}
+	for i, v := range snap.CollectorPasses {
+		counter("llhj_collector_passes_total", "Collection passes run per shard (event-driven: an idle shard runs none).", v, [2]string{"shard", strconv.Itoa(i)})
+	}
+	for i, v := range snap.CollectorWakeups {
+		counter("llhj_collector_wakeups_total", "Times each shard's collector slept on its output doorbell and was rung awake.", v, [2]string{"shard", strconv.Itoa(i)})
+	}
 	gauge("llhj_floor_lag_ns", "Newest admitted timestamp minus the merged punctuation floor; -1 unknown.", snap.FloorLagNs)
+	gauge("llhj_floor_holder", "Shard pinning the merged punctuation floor (oldest latest punctuation); -1 when not punctuating.", int64(snap.FloorHolder))
 	gauge("llhj_handoffs_inflight", "Key-groups currently mid-handoff.", int64(snap.InFlightHandoffs))
 	counter("llhj_rebalances_total", "Control cycles that proposed key-group moves.", snap.Rebalances)
 	counter("llhj_keygroup_moves_total", "Key-group cut-overs applied through the drain path.", snap.KeyGroupMoves)

@@ -545,3 +545,135 @@ func TestObsServerClosedWithEngine(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestObsFloorHolderNamesThePinningShard: with traffic on one shard only
+// and no heartbeats, the other shard never punctuates and the merged
+// floor cannot form. The floor-holder gauge must name that shard — the
+// answer to "which shard is Ordered output waiting for" — in the
+// snapshot and on /metrics.
+func TestObsFloorHolderNamesThePinningShard(t *testing.T) {
+	cfg := Config[cidR, cidS]{
+		Workers:   1,
+		Shards:    2,
+		Predicate: func(r cidR, s cidS) bool { return r.Key == s.Key },
+		WindowR:   Window{Count: 1 << 16},
+		WindowS:   Window{Count: 1 << 16},
+		Batch:     1,
+		Ordered:   true,
+		KeyR:      func(r cidR) uint64 { return r.Key },
+		KeyS:      func(s cidS) uint64 { return s.Key },
+		Adapt:     AdaptConfig{DisableHeartbeat: true},
+		Obs:       ObsConfig{Addr: "127.0.0.1:0"},
+		OnOutput:  func(Item[cidR, cidS]) {},
+	}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	se := eng.(*ShardedEngine[cidR, cidS])
+	// A key of shard 0: before anything punctuates the holder reads 0
+	// (the lowest index among equals), so only a real answer is 1.
+	const busy, silent = 0, 1
+	key := uint64(0)
+	for se.router.Partitioner().ShardOfGroup(se.router.GroupOf(key)) != busy {
+		key++
+	}
+	for i := 0; i < 32; i++ {
+		if err := eng.PushR(cidR{Key: key, ID: i}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.PushS(cidS{Key: key, ID: i}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The busy shard's collector runs on its own goroutine; wait for its
+	// punctuation to reach the merge.
+	for deadline := time.Now().Add(10 * time.Second); eng.StatsSnapshot().FloorHolder != silent; {
+		if time.Now().After(deadline) {
+			t.Fatalf("FloorHolder = %d, want the silent shard %d", eng.StatsSnapshot().FloorHolder, silent)
+		}
+		runtime.Gosched()
+	}
+	snap := eng.StatsSnapshot()
+	if snap.CollectorPasses[silent] > 1 {
+		t.Fatalf("silent shard ran %d collector passes, want at most its first", snap.CollectorPasses[silent])
+	}
+	body := httpGet(t, "http://"+eng.ObsAddr()+"/metrics")
+	checkExposition(t, body)
+	for _, want := range []string{
+		fmt.Sprintf("llhj_floor_holder %d", silent),
+		fmt.Sprintf(`llhj_collector_passes_total{shard="%d"}`, busy),
+		fmt.Sprintf(`llhj_collector_wakeups_total{shard="%d"}`, busy),
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestIdleEngineRunsNoCollectorPasses: once a sharded engine with
+// heartbeats on has caught its floor up with ingress, nothing in it
+// collects on a timer — over 50 ms no shard runs a single collector
+// pass — and Close still returns, leaving no goroutine behind.
+func TestIdleEngineRunsNoCollectorPasses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := Config[cidR, cidS]{
+		Workers:   2,
+		Shards:    4,
+		Predicate: func(r cidR, s cidS) bool { return r.Key == s.Key },
+		WindowR:   Window{Count: 1 << 16},
+		WindowS:   Window{Count: 1 << 16},
+		Batch:     4,
+		Ordered:   true,
+		KeyR:      func(r cidR) uint64 { return r.Key },
+		KeyS:      func(s cidS) uint64 { return s.Key },
+		Adapt:     AdaptConfig{HeartbeatPeriod: 200 * time.Microsecond},
+		OnOutput:  func(Item[cidR, cidS]) {},
+	}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := eng.PushR(cidR{Key: uint64(i % 32), ID: i}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.PushS(cidS{Key: uint64(i % 32), ID: i}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	passes := func() (n uint64) {
+		for _, p := range eng.StatsSnapshot().CollectorPasses {
+			n += p
+		}
+		return n
+	}
+	// Heartbeats flush the partial batches and promise the idle lanes up
+	// to the last pushed timestamp; after that there is nothing left to
+	// say. Wait for that state, not for a guess at how long it takes.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		p := passes()
+		time.Sleep(5 * time.Millisecond)
+		if eng.StatsSnapshot().FloorLagNs == 0 && passes() == p {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("engine never went idle: floor lag %d", eng.StatsSnapshot().FloorLagNs)
+		}
+	}
+	p0 := passes()
+	time.Sleep(50 * time.Millisecond)
+	if p1 := passes(); p1 != p0 {
+		t.Fatalf("idle engine ran %d collector passes in 50 ms, want 0", p1-p0)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -102,6 +102,8 @@ type ShardedEngine[L, RT any] struct {
 	activity []atomic.Uint64   // pushes routed per lane (idle detection)
 	laneTS   []atomic.Int64    // latest ingress ts routed per lane
 
+	punctuate bool // Config.Punctuate: lanes punctuate, the merge keeps a floor
+
 	// Batched-ingress state. rsc/ssc are the per-side routing and
 	// expiry-schedule scratch, consumed entirely under that side's
 	// stream lock; rOne/sOne back the batch-of-one per-tuple wrappers
@@ -117,6 +119,13 @@ type ShardedEngine[L, RT any] struct {
 
 	ctrl     *adapt.Controller
 	hbPeriod time.Duration
+	// hbMu is held by the heartbeat loop for each tick's lane walk and
+	// by Checkpoint for its cut: a heartbeat flushing a lane's partial
+	// batch between that lane's snapshot and the drain of its result
+	// queues would put the batch's results into the snapshotted sorter
+	// and leave the batch in the snapshotted buffer to produce them
+	// again after Restore.
+	hbMu     sync.Mutex
 	watchdog time.Duration // AdaptConfig.StallWatchdog (0 = off)
 	stop     chan struct{}
 	bg       sync.WaitGroup
@@ -294,6 +303,8 @@ func newSharded[L, RT any](cfg Config[L, RT]) (*ShardedEngine[L, RT], error) {
 		sCnt:     cfg.WindowS.Count > 0,
 		adaptive: cfg.Adapt.Enable,
 		stop:     make(chan struct{}),
+
+		punctuate: cfg.Punctuate,
 	}
 	e.sliceTuples = cfg.Adapt.Migration.SliceTuples
 	if e.sliceTuples == 0 {
@@ -952,6 +963,7 @@ func (e *ShardedEngine[L, RT]) heartbeatLoop() {
 		if floor == minTS {
 			continue // a side has not pushed yet: no promise possible
 		}
+		e.hbMu.Lock()
 		for i, l := range e.lanes {
 			if cur := e.activity[i].Load(); cur != prev[i] {
 				prev[i] = cur // lane saw traffic this period
@@ -973,6 +985,7 @@ func (e *ShardedEngine[L, RT]) heartbeatLoop() {
 				e.emit("heartbeat_stall", i, -1, floor, 0)
 			}
 		}
+		e.hbMu.Unlock()
 	}
 }
 
@@ -1358,6 +1371,9 @@ func (e *ShardedEngine[L, RT]) Checkpoint(dir string) error {
 	}
 	e.drainGates()
 	e.emit("checkpoint_begin", -1, -1, int64(e.dur.log.Next()), 0)
+	// No heartbeat may flush a lane between its snapshot and the sorter
+	// snapshot below (see hbMu).
+	e.hbMu.Lock()
 	snap := engineSnap[L, RT]{
 		rSeq:      e.rSeq.Load(),
 		sSeq:      e.sSeq.Load(),
@@ -1371,6 +1387,7 @@ func (e *ShardedEngine[L, RT]) Checkpoint(dir string) error {
 	for _, l := range e.lanes {
 		ls, err := l.SnapshotState()
 		if err != nil {
+			e.hbMu.Unlock()
 			e.smu.Unlock()
 			e.rmu.Unlock()
 			return err
@@ -1395,6 +1412,7 @@ func (e *ShardedEngine[L, RT]) Checkpoint(dir string) error {
 	// what makes the recovery filter sound.
 	walFrom := e.dur.log.Next()
 	e.sortMu.Unlock()
+	e.hbMu.Unlock()
 	snap.router = e.router.SnapshotState()
 	// A checkpoint against a failed or shed WAL re-arms logging under
 	// root. It must happen before the side locks release: the first
@@ -1448,6 +1466,14 @@ func (e *ShardedEngine[L, RT]) Restore(dir string) error {
 	}
 	if dir == "" {
 		return fmt.Errorf("handshakejoin: Restore requires a directory (or Config.Durability.WALDir)")
+	}
+	if e.ctrl != nil {
+		// The control loop has been running since New; keep it out while
+		// the router's counters and table are replaced underneath it.
+		// Taken before the side locks, the order a control cycle's own
+		// migration callbacks use.
+		e.ctrl.Pause()
+		defer e.ctrl.Resume()
 	}
 	e.rmu.Lock()
 	e.smu.Lock()
@@ -1590,15 +1616,23 @@ func (e *ShardedEngine[L, RT]) StatsSnapshot() Snapshot {
 		Stats:            e.Stats(),
 		InFlightHandoffs: e.router.Handoffs(),
 		FloorLagNs:       -1,
+		FloorHolder:      -1,
 		LiveWindowR:      make([]int64, len(e.lanes)),
 		LiveWindowS:      make([]int64, len(e.lanes)),
 		ExpiryDepth:      make([]int64, len(e.lanes)),
+		CollectorPasses:  make([]uint64, len(e.lanes)),
+		CollectorWakeups: make([]uint64, len(e.lanes)),
 	}
 	for i, l := range e.lanes {
 		ps := l.PipelineStats()
 		snap.LiveWindowR[i] = int64(ps.LiveWR)
 		snap.LiveWindowS[i] = int64(ps.LiveWS)
 		snap.ExpiryDepth[i] = int64(l.ExpiryDepth())
+		snap.CollectorPasses[i] = l.CollectorPasses()
+		snap.CollectorWakeups[i] = l.CollectorWakeups()
+	}
+	if e.punctuate {
+		snap.FloorHolder = e.merge.FloorHolder()
 	}
 	newest := e.rLastAt.Load()
 	if s := e.sLastAt.Load(); s > newest {
