@@ -83,6 +83,54 @@
 // through a per-shard ingress gate, so a push blocked on one saturated
 // shard's back-pressure does not stall pushers bound for other shards.
 //
+// # Back-pressure: yield, then park
+//
+// A pipeline holds at most MaxInFlight messages; the flush that would
+// add one more waits in internal/pipeline.Live.Inject, in two phases.
+// It first yields the processor, and keeps yielding for as long as the
+// pipeline's depth moves: a worker retires a small batch in a
+// microsecond or two, so a pusher of small batches is let in again long
+// before a sleep and its wake-up would have finished, and never pays
+// for one. When the depth has stood still for about a thousand yields —
+// the workers are inside long scans, or there are more runnable
+// goroutines than cores and the pusher is the one too many — the
+// pusher parks. Workers wake parked pushers as they retire the message
+// that brings the depth down to MaxInFlight/2 (one sleep buys room for
+// half a pipeline of batches), and Close wakes them for good. This is
+// the collector's doorbell turned around — drivers sleep, workers ring,
+// and a ring that finds nobody waiting costs one atomic load — except
+// that several drivers can wait at once, so it is a waiter count and a
+// condition variable rather than a flag and a one-token bell. The
+// yield-only loop it replaced kept a spinning pusher on a core the
+// workers of a scan-bound pipeline needed: on the paper's band join
+// (two workers, two cores) it took 30 % of the CPU and made saturated
+// throughput differ by a factor of two from one engine to the next.
+// Stats.InjectParks (llhj_inject_parks_total) counts the sleeps:
+// ingress waiting on MaxInFlight, as opposed to on an ingress gate or
+// a stream lock.
+//
+// # Scans run as blocks
+//
+// Without an index, a worker compares an arriving tuple with every
+// entry of its window fragment, and the per-comparison cost is the
+// operator's throughput (§7: ~2 000 comparisons per tuple on the
+// paper's job). Workers therefore do not scan tuple by tuple. Neither
+// arrival handler writes the window it reads — R arrivals read WSk and
+// the in-flight buffer and store into WRk, S arrivals the reverse — so
+// all probes of a message run before any of its bookkeeping, and
+// together: the window entry is the outer loop, the message's packed
+// payloads (in tiles of 64) the inner one, and Config.Predicate is
+// called directly on the two payloads — one indirect call per
+// comparison, where the per-tuple scan paid a callback, a predicate
+// call and a copy of the stored tuple. Matches are collected as
+// (probe, slot) pairs and emitted in exactly the order the per-tuple
+// loop produced: message order, and per tuple window matches in arrival
+// order, then in-flight matches (internal/core's exactness suite keeps
+// that loop as its reference; the simulator's result sequence is pinned
+// to it). A per-tuple push is a block of one; under IndexAuto each run
+// of consecutive scan-dispatched tuples of a message is a block, and
+// hash- or B-tree-dispatched tuples keep their own probes in between.
+//
 // # Output latency: the event-driven collector
 //
 // Each pipeline has one collector goroutine (§5) that vacuums the
@@ -585,7 +633,7 @@
 // llhj_store_{spills,reanchors,
 // compactions,parks}_total, llhj_store_overflow, llhj_max_sort_buffer,
 // llhj_wal_bytes_total, llhj_checkpoints_total,
-// llhj_checkpoint_duration_ns,
+// llhj_checkpoint_duration_ns, llhj_inject_parks_total,
 // llhj_trace_events_total, and the llhj_output_latency_ns histogram —
 // result latency from admission of the later input tuple to delivery
 // on the serving path.

@@ -750,6 +750,7 @@ func (e *Engine[L, RT]) Stats() Stats {
 		WALRetries:       e.dur.walRetries.Load(),
 		WALSheds:         e.dur.sheds.Load(),
 		AdmissionRejects: e.guard.rejected(),
+		InjectParks:      e.lane.InjectParks(),
 	}
 	if e.sorter != nil {
 		st.MaxSortBuffer = e.sorter.MaxBuffer()

@@ -213,7 +213,9 @@ type Config[L, RT any] struct {
 	// AdaptConfig.HeartbeatPeriod, its only effect. Default 1ms.
 	CollectPeriod time.Duration
 	// MaxInFlight bounds the number of messages in flight inside the
-	// pipeline; Push blocks when it is reached. It must stay far below
+	// pipeline; Push blocks when it is reached — yielding while the
+	// pipeline keeps retiring messages, asleep until it has drained to
+	// half once it does not (Stats.InjectParks). It must stay far below
 	// the window sizes in tuples (window semantics are defined at the
 	// pipeline entries, so an in-flight volume approaching the window
 	// length blurs the window boundary). Default 16.
@@ -634,4 +636,11 @@ type Stats struct {
 	// AdmissionRejects counts pushes rejected with ErrOverloaded
 	// against Config.MaxLiveTuples.
 	AdmissionRejects uint64
+	// InjectParks counts how often ingress slept on MaxInFlight: a
+	// pipeline held its full complement of in-flight messages and
+	// retired none of them for as long as the pushing goroutine was
+	// willing to yield, so the goroutine parked until the pipeline had
+	// drained to half. Back-pressure that clears within the yield phase
+	// (small batches) is not counted.
+	InjectParks uint64
 }

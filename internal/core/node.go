@@ -177,17 +177,27 @@ type Node[L, R any] struct {
 	pendExpR map[uint64]struct{} // expiries that raced ahead of their tuple
 	pendExpS map[uint64]struct{}
 
-	// Reusable probe contexts: the match callbacks passed to the window
-	// probes are bound once at construction and read the current
-	// arrival from these fields, so a probe allocates nothing — a
+	// Reusable index-probe contexts: the match callbacks passed to the
+	// hash and B-tree probes are bound once at construction and read the
+	// current arrival from these fields, so a probe allocates nothing — a
 	// per-arrival closure over (r, em, results) would escape on every
 	// tuple.
 	curR   stream.Tuple[L]
 	curS   stream.Tuple[R]
 	curEm  Emitter[L, R]
 	curRes int
-	emitS  func(stream.Tuple[R]) // probe callback for R arrivals scanning wS
-	emitR  func(stream.Tuple[L]) // probe callback for S arrivals scanning wR
+	emitS  func(stream.Tuple[R]) // probe callback for R arrivals probing wS
+	emitR  func(stream.Tuple[L]) // probe callback for S arrivals probing wR
+
+	// Block-scan scratch, reused by every message: the packed payloads of
+	// the run being scanned, the hit buffers, and under adaptive dispatch
+	// the key-group of each tuple of the run whose probe feeds the
+	// strategy table (noObserve for the others). All of it is sized by
+	// the message, never by the window.
+	probesR []L
+	probesS []R
+	scan    store.BlockScratch
+	obs     []uint32
 
 	// Adaptive-dispatch bookkeeping (Probe mode): arrivals counts
 	// tuples processed, the *At stamps record the arrival count at each
@@ -350,13 +360,16 @@ func (n *Node[L, R]) handleArrivalR(m Msg[L, R], em Emitter[L, R]) {
 	var comparisons, results, storeOnly uint64
 	stored := false
 	src, pooled := em.(SeqBufSource[L, R])
+	// The message's probes run first, all of them: they read WSk and
+	// IWSk, which nothing below writes (R arrivals store into WRk), so
+	// every tuple of the message sees the same S state whether it is
+	// probed before or after its predecessors are stored — and probed
+	// together, the scans share one pass over the window.
+	if mode != ArriveStoreOnly {
+		comparisons, results = n.probeR(rs, em)
+	}
 	for i := range rs {
 		r := rs[i]
-		if mode != ArriveStoreOnly {
-			ins, res := n.scanForR(r, em)
-			comparisons += uint64(ins)
-			results += uint64(res)
-		}
 		if mode != ArriveProbeOnly && r.Home == n.k {
 			if _, pending := n.pendExpR[r.Seq]; pending {
 				// The expiry overtook the tuple (pathological window);
@@ -417,71 +430,154 @@ func (n *Node[L, R]) handleArrivalR(m Msg[L, R], em Emitter[L, R]) {
 	}
 }
 
-// scanForR finds matches for r in the node-local S window and the
-// in-flight buffer (Figure 13 line 8). It returns the entry and result
-// counts for the caller to publish, accumulated per message. The probe
-// goes through the reusable per-node context (n.curR/n.emitS) — no
-// per-arrival closure — and under adaptive dispatch the access path is
-// whatever the strategy table currently says for r's key-group.
-func (n *Node[L, R]) scanForR(r stream.Tuple[L], em Emitter[L, R]) (int, int) {
-	n.curR, n.curEm, n.curRes = r, em, 0
-	inspected := 0
-	if t := n.cfg.Probe; t != nil {
-		key := n.cfg.KeyR(r.Payload)
-		g := t.GroupOf(key)
-		switch t.StrategyOf(g) {
-		case probe.UseHash:
+// noObserve marks, in Node.obs, a scanned tuple whose probe is not part
+// of the strategy table's 1-in-4 sample.
+const noObserve = ^uint32(0)
+
+// staticStrategy is the access path a static Config.Index names.
+func (c *Config[L, R]) staticStrategy() probe.Strategy {
+	switch c.Index {
+	case IndexHash:
+		return probe.UseHash
+	case IndexBTree:
+		return probe.UseBTree
+	default:
+		return probe.UseScan
+	}
+}
+
+// probeR finds the matches of every tuple of an R arrival message in
+// the node-local S window and the in-flight buffer (Figure 13 line 8)
+// and emits, tuple by tuple in message order, the tuple's window
+// matches, its IWSk matches, then its Cost. It returns the message's
+// entry and result counts for the caller to publish.
+//
+// Each tuple's access path is the configured one or, under adaptive
+// dispatch, whatever the strategy table says for its key-group when the
+// message is dispatched. Scans do not run per tuple: each maximal run of
+// consecutive scan-dispatched tuples is one block scan (scanBlockR), a
+// per-tuple push being a block of one. Hash and B-tree probes stay per
+// tuple, through the reusable context (n.curR/n.emitS), and end the run
+// before them, so the emission order is the message order throughout.
+// A strategy flip decided on a tuple's observation therefore takes
+// effect at the next run, not at the next tuple.
+func (n *Node[L, R]) probeR(rs []stream.Tuple[L], em Emitter[L, R]) (inspected, results uint64) {
+	t := n.cfg.Probe
+	if t == nil && n.cfg.Index == IndexNone {
+		n.mixScan += uint64(len(rs))
+		return n.scanBlockR(rs, nil, em)
+	}
+	static := n.cfg.staticStrategy()
+	n.obs = n.obs[:0]
+	run := 0 // rs[run:i] is the open run of scan-dispatched tuples
+	for i := range rs {
+		key := n.cfg.KeyR(rs[i].Payload)
+		strat, g, observe := static, uint32(0), false
+		if t != nil {
+			g = t.GroupOf(key)
+			strat = t.StrategyOf(g)
+			// Sampled observation: the table's counters live on shared cache
+			// lines, and feeding every probe from every node turns them into
+			// a line ping-pong between workers that costs more than the
+			// probes themselves. 1-in-4 keeps the sample unbiased and the
+			// decision cadence at 4x DecideEvery probes per group.
+			observe = n.obsTick&3 == 0
+			n.obsTick++
+		}
+		if strat == probe.UseScan {
+			n.mixScan++
+			if !observe {
+				g = noObserve
+			}
+			n.obs = append(n.obs, g)
+			continue
+		}
+		if run < i {
+			ins, res := n.scanBlockR(rs[run:i], n.obs, em)
+			inspected, results = inspected+ins, results+res
+			n.obs = n.obs[:0]
+		}
+		run = i + 1
+
+		n.curR, n.curEm, n.curRes = rs[i], em, 0
+		var seen int
+		if strat == probe.UseHash {
 			if !n.wS.HasHash() {
 				n.wS.EnableHash()
 			}
 			n.wsHashAt = n.arrivals
-			inspected += n.wS.Probe(key, false, n.emitS)
+			seen = n.wS.Probe(key, false, n.emitS)
 			n.mixHash++
-		case probe.UseBTree:
+		} else {
 			if !n.wS.HasBTree() {
 				n.wS.EnableBTree()
 			}
 			n.wsTreeAt = n.arrivals
-			lo, hi := t.RangeFromR(key)
-			inspected += n.wS.RangeProbe(lo, hi, false, n.emitS)
-			n.mixTree++
-		default:
-			inspected += n.wS.ScanAll(n.emitS)
-			n.mixScan++
-		}
-		// Sampled observation: the table's counters live on shared cache
-		// lines, and feeding every probe from every node turns them into
-		// a line ping-pong between workers that costs more than the
-		// probes themselves. 1-in-4 keeps the sample unbiased and the
-		// decision cadence at 4x DecideEvery probes per group.
-		if n.obsTick&3 == 0 {
-			t.Observe(g, n.wS.Len(), inspected, n.curRes)
-		}
-		n.obsTick++
-	} else {
-		switch n.cfg.Index {
-		case IndexHash:
-			inspected += n.wS.Probe(n.cfg.KeyR(r.Payload), false, n.emitS)
-			n.mixHash++
-		case IndexBTree:
-			key := n.cfg.KeyR(r.Payload)
-			lo := uint64(0)
-			if key > n.cfg.Band {
-				lo = key - n.cfg.Band
+			lo, hi := n.cfg.bandAround(key)
+			if t != nil {
+				lo, hi = t.RangeFromR(key)
 			}
-			inspected += n.wS.RangeProbe(lo, key+n.cfg.Band, false, n.emitS)
+			seen = n.wS.RangeProbe(lo, hi, false, n.emitS)
 			n.mixTree++
-		default:
-			inspected += n.wS.ScanAll(n.emitS)
-			n.mixScan++
 		}
+		if observe {
+			t.Observe(g, n.wS.Len(), seen, n.curRes)
+		}
+		for _, s := range n.iwS {
+			seen++
+			n.emitS(s)
+		}
+		em.Cost(seen)
+		inspected, results = inspected+uint64(seen), results+uint64(n.curRes)
 	}
-	for _, s := range n.iwS {
-		inspected++
-		n.emitS(s)
+	ins, res := n.scanBlockR(rs[run:], n.obs, em)
+	return inspected + ins, results + res
+}
+
+// bandAround is the key range a static IndexBTree probe covers.
+func (c *Config[L, R]) bandAround(key uint64) (lo, hi uint64) {
+	if key > c.Band {
+		lo = key - c.Band
 	}
-	em.Cost(inspected)
-	return inspected, n.curRes
+	return lo, key + c.Band
+}
+
+// scanBlockR scans the S window once per tile of the run rs instead of
+// once per tuple (store.ScanBlock: window entry in the outer loop, the
+// run's packed payloads in the inner one, Pred called directly), then
+// emits what the per-tuple loop would have, in its order: for each
+// tuple its window matches in arrival order, its IWSk matches, its Cost.
+// obs, when non-nil, names per tuple the key-group to report the window
+// probe to (or noObserve).
+func (n *Node[L, R]) scanBlockR(rs []stream.Tuple[L], obs []uint32, em Emitter[L, R]) (inspected, results uint64) {
+	if len(rs) == 0 {
+		return 0, 0
+	}
+	n.probesR = n.probesR[:0]
+	for i := range rs {
+		n.probesR = append(n.probesR, rs[i].Payload)
+	}
+	hits, visited := store.ScanBlock(n.wS, n.probesR, n.cfg.Pred, &n.scan)
+	k := 0
+	for i := range rs {
+		matched := 0
+		for ; k < len(hits) && int(hits[k].Probe) == i; k++ {
+			matched++
+			em.EmitResult(stream.Pair[L, R]{R: rs[i], S: n.wS.At(hits[k].Slot)})
+		}
+		if obs != nil && obs[i] != noObserve {
+			n.cfg.Probe.Observe(obs[i], n.wS.Len(), visited, matched)
+		}
+		for j := range n.iwS {
+			if n.cfg.Pred(rs[i].Payload, n.iwS[j].Payload) {
+				matched++
+				em.EmitResult(stream.Pair[L, R]{R: rs[i], S: n.iwS[j]})
+			}
+		}
+		em.Cost(visited + len(n.iwS))
+		results += uint64(matched)
+	}
+	return uint64(len(rs)) * uint64(visited+len(n.iwS)), results
 }
 
 // handleArrivalS implements the arrival branch of Figure 14: tag homes
@@ -503,13 +599,13 @@ func (n *Node[L, R]) handleArrivalS(m Msg[L, R], em Emitter[L, R]) {
 	// Per-message counter accumulation, as in handleArrivalR.
 	var comparisons, results, storeOnly uint64
 	stored, retained := false, false
+	// Probes first, as in handleArrivalR: they read settled WRk entries,
+	// and S arrivals write only WSk and IWSk.
+	if mode != ArriveStoreOnly {
+		comparisons, results = n.probeS(ss, em)
+	}
 	for i := range ss {
 		s := ss[i]
-		if mode != ArriveStoreOnly {
-			ins, res := n.scanForS(s, em)
-			comparisons += uint64(ins)
-			results += uint64(res)
-		}
 		if mode == ArriveFull && !n.cfg.DisableAck && n.k > s.Home {
 			// s is fresh here: keep it visible until the left
 			// neighbour confirms receipt (Figure 14 lines 9–10).
@@ -577,62 +673,101 @@ func (n *Node[L, R]) handleArrivalS(m Msg[L, R], em Emitter[L, R]) {
 	}
 }
 
-// scanForS finds matches for s among the *non-expedited* entries of the
-// node-local R window (Figure 14 line 8). It returns the entry and
-// result counts for the caller to publish, accumulated per message.
-// Mirrors scanForR: reusable probe context, adaptive dispatch when
-// Config.Probe is set.
-func (n *Node[L, R]) scanForS(s stream.Tuple[R], em Emitter[L, R]) (int, int) {
-	n.curS, n.curEm, n.curRes = s, em, 0
-	inspected := 0
-	if t := n.cfg.Probe; t != nil {
-		key := n.cfg.KeyS(s.Payload)
-		g := t.GroupOf(key)
-		switch t.StrategyOf(g) {
-		case probe.UseHash:
+// probeS finds the matches of every tuple of an S arrival message among
+// the *non-expedited* entries of the node-local R window (Figure 14
+// line 8). Mirrors probeR: block scans for runs of scan-dispatched
+// tuples, per-tuple index probes in between, emission in message order.
+func (n *Node[L, R]) probeS(ss []stream.Tuple[R], em Emitter[L, R]) (inspected, results uint64) {
+	t := n.cfg.Probe
+	if t == nil && n.cfg.Index == IndexNone {
+		n.mixScan += uint64(len(ss))
+		return n.scanBlockS(ss, nil, em)
+	}
+	static := n.cfg.staticStrategy()
+	n.obs = n.obs[:0]
+	run := 0 // ss[run:i] is the open run of scan-dispatched tuples
+	for i := range ss {
+		key := n.cfg.KeyS(ss[i].Payload)
+		strat, g, observe := static, uint32(0), false
+		if t != nil {
+			g = t.GroupOf(key)
+			strat = t.StrategyOf(g)
+			// Sampled 1-in-4, as in probeR.
+			observe = n.obsTick&3 == 0
+			n.obsTick++
+		}
+		if strat == probe.UseScan {
+			n.mixScan++
+			if !observe {
+				g = noObserve
+			}
+			n.obs = append(n.obs, g)
+			continue
+		}
+		if run < i {
+			ins, res := n.scanBlockS(ss[run:i], n.obs, em)
+			inspected, results = inspected+ins, results+res
+			n.obs = n.obs[:0]
+		}
+		run = i + 1
+
+		n.curS, n.curEm, n.curRes = ss[i], em, 0
+		var seen int
+		if strat == probe.UseHash {
 			if !n.wR.HasHash() {
 				n.wR.EnableHash()
 			}
 			n.wrHashAt = n.arrivals
-			inspected += n.wR.Probe(key, true, n.emitR)
+			seen = n.wR.Probe(key, true, n.emitR)
 			n.mixHash++
-		case probe.UseBTree:
+		} else {
 			if !n.wR.HasBTree() {
 				n.wR.EnableBTree()
 			}
 			n.wrTreeAt = n.arrivals
-			lo, hi := t.RangeFromS(key)
-			inspected += n.wR.RangeProbe(lo, hi, true, n.emitR)
-			n.mixTree++
-		default:
-			inspected += n.wR.ScanSettled(n.emitR)
-			n.mixScan++
-		}
-		// Sampled 1-in-4, as in scanForR.
-		if n.obsTick&3 == 0 {
-			t.Observe(g, n.wR.Len(), inspected, n.curRes)
-		}
-		n.obsTick++
-	} else {
-		switch n.cfg.Index {
-		case IndexHash:
-			inspected += n.wR.Probe(n.cfg.KeyS(s.Payload), true, n.emitR)
-			n.mixHash++
-		case IndexBTree:
-			key := n.cfg.KeyS(s.Payload)
-			lo := uint64(0)
-			if key > n.cfg.Band {
-				lo = key - n.cfg.Band
+			lo, hi := n.cfg.bandAround(key)
+			if t != nil {
+				lo, hi = t.RangeFromS(key)
 			}
-			inspected += n.wR.RangeProbe(lo, key+n.cfg.Band, true, n.emitR)
+			seen = n.wR.RangeProbe(lo, hi, true, n.emitR)
 			n.mixTree++
-		default:
-			inspected += n.wR.ScanSettled(n.emitR)
-			n.mixScan++
 		}
+		if observe {
+			t.Observe(g, n.wR.Len(), seen, n.curRes)
+		}
+		em.Cost(seen)
+		inspected, results = inspected+uint64(seen), results+uint64(n.curRes)
 	}
-	em.Cost(inspected)
-	return inspected, n.curRes
+	ins, res := n.scanBlockS(ss[run:], n.obs, em)
+	return inspected + ins, results + res
+}
+
+// scanBlockS is scanBlockR for a run of S tuples: one pass per tile over
+// the R window, comparing settled entries only, with the predicate's
+// arguments the other way round (store.ScanBlockSettled).
+func (n *Node[L, R]) scanBlockS(ss []stream.Tuple[R], obs []uint32, em Emitter[L, R]) (inspected, results uint64) {
+	if len(ss) == 0 {
+		return 0, 0
+	}
+	n.probesS = n.probesS[:0]
+	for i := range ss {
+		n.probesS = append(n.probesS, ss[i].Payload)
+	}
+	hits, visited := store.ScanBlockSettled(n.wR, n.probesS, n.cfg.Pred, &n.scan)
+	k := 0
+	for i := range ss {
+		matched := 0
+		for ; k < len(hits) && int(hits[k].Probe) == i; k++ {
+			matched++
+			em.EmitResult(stream.Pair[L, R]{R: n.wR.At(hits[k].Slot), S: ss[i]})
+		}
+		if obs != nil && obs[i] != noObserve {
+			n.cfg.Probe.Observe(obs[i], n.wR.Len(), visited, matched)
+		}
+		em.Cost(visited)
+		results += uint64(matched)
+	}
+	return uint64(len(ss)) * uint64(visited), results
 }
 
 // publishMix flushes the per-message strategy-mix scratch counters into

@@ -30,15 +30,15 @@ type Live[L, R any] struct {
 
 	// links[i][0] = messages travelling rightward into node i
 	// (HandleLeft); links[i][1] = leftward into node i (HandleRight).
-	// Interior links are unbounded so that neighbouring nodes can never
-	// deadlock on mutual back-pressure; the entry links are bounded by
-	// entryCap through Inject.
+	// Every link is unbounded so that neighbouring nodes can never
+	// deadlock on mutual back-pressure; what bounds the pipeline is the
+	// total in flight (depth against depthCap), enforced on the drivers
+	// in Inject.
 	links  [][2]*fifo.Deque[core.Msg[L, R]]
 	notify []chan struct{} // wake-up doorbell per node
 	idle   []atomic.Bool
 
 	resultQ  []*fifo.Chan[core.Result[L, R]]
-	entryCap int
 	depthCap int
 
 	// High-water marks (§6.1.1), indexed R = 0, S = 1 like the links
@@ -63,6 +63,22 @@ type Live[L, R any] struct {
 	punctuate  bool
 
 	depth atomic.Int64 // messages in flight across all links
+
+	// Entry doorbell: the output doorbell turned around once more, with
+	// the drivers as sleepers and the nodes as ringers. An injector that
+	// finds the pipeline at depthCap and sees it make no progress parks
+	// on room; handled broadcasts once depth is down to depthCap/2, Stop
+	// broadcasts too. Several drivers can wait at once (the two stream
+	// sides, expiries, probe-only runs), hence a count and a condition
+	// variable rather than a flag and a one-token bell. roomWaiters is
+	// raised (under roomMu) before the injector re-checks depth and read
+	// by handled after it has lowered depth, so one of the two always
+	// sees the other; a ringer that sees nobody waiting pays one atomic
+	// load.
+	roomMu      sync.Mutex
+	room        *sync.Cond // on roomMu
+	roomWaiters atomic.Int32
+	injectParks atomic.Uint64
 
 	// Pooled seq buffers and recycling tokens for the messages nodes
 	// originate per batch (acks, expedition-ends, expiry forwards).
@@ -91,9 +107,6 @@ type nodeMarks struct {
 
 // LiveConfig tunes the live runtime.
 type LiveConfig struct {
-	// LinkCap bounds the number of messages the driver may have pending
-	// at a pipeline entry (back-pressure point). Default 1024.
-	LinkCap int
 	// DepthCap bounds the total number of messages in flight across all
 	// links; Inject blocks while the pipeline is deeper. This is the
 	// analogue of the paper's bounded FIFO channels: it keeps the
@@ -112,9 +125,6 @@ type LiveConfig struct {
 }
 
 func (c *LiveConfig) defaults() {
-	if c.LinkCap < 1 {
-		c.LinkCap = 1024
-	}
 	if c.ResultCap < 1 {
 		c.ResultCap = 65536
 	}
@@ -134,7 +144,6 @@ func NewLive[L, R any](n int, build core.Builder[L, R], clk clock.Clock, cfg Liv
 	}
 	lv := &Live[L, R]{
 		clk:      clk,
-		entryCap: cfg.LinkCap,
 		depthCap: cfg.DepthCap,
 		links:    make([][2]*fifo.Deque[core.Msg[L, R]], n),
 		notify:   make([]chan struct{}, n),
@@ -145,6 +154,7 @@ func NewLive[L, R any](n int, build core.Builder[L, R], clk clock.Clock, cfg Liv
 		outBell:   make(chan struct{}, 1),
 		punctuate: cfg.Punctuate,
 	}
+	lv.room = sync.NewCond(&lv.roomMu)
 	for k := 0; k < n; k++ {
 		lv.nodes = append(lv.nodes, build(k))
 		lv.links[k][0] = fifo.NewDeque[core.Msg[L, R]](64)
@@ -178,23 +188,81 @@ func (lv *Live[L, R]) hwm(side int) int64 {
 // ResultQueues exposes the per-node result queues for the collector.
 func (lv *Live[L, R]) ResultQueues() []*fifo.Chan[core.Result[L, R]] { return lv.resultQ }
 
-// Inject delivers msg to a pipeline end, blocking while the entry link
-// holds more than the configured bound (driver back-pressure). It
-// returns false after Stop.
+// Inject delivers msg to a pipeline end, blocking while the pipeline
+// holds DepthCap messages or more (driver back-pressure). An injector
+// that had to wait returns false once the pipeline is stopped.
 func (lv *Live[L, R]) Inject(end End, msg core.Msg[L, R]) bool {
 	node, dir := 0, 0
 	if end == RightEnd {
 		node, dir = len(lv.nodes)-1, 1
 	}
-	q := lv.links[node][dir]
-	for q.Len() >= lv.entryCap || int(lv.depth.Load()) >= lv.depthCap {
+	if int(lv.depth.Load()) >= lv.depthCap && !lv.awaitRoom() {
+		return false
+	}
+	return lv.put(node, dir, msg)
+}
+
+// injectSpin is how many scheduler yields in a row an injector may find
+// the pipeline full and its depth unchanged before it parks — a few
+// hundred microseconds. The bound has to outlast a node that is merely
+// descheduled (more runnable goroutines than cores): at 64, pushers of
+// 4-tuple batches parked some 2 000 times a second behind lanes that
+// would have had room within the next scheduling round, and lost a
+// sixth of their throughput to the low-water wait; at 1024 they park a
+// few dozen times and lose nothing, while a pipeline of 400 µs messages
+// parks exactly as often as at 64.
+const injectSpin = 1024
+
+// awaitRoom blocks until the pipeline is below depthCap (true) or
+// stopped (false). It yields first and sleeps second: a pipeline that is
+// retiring messages — a small batch takes a node a microsecond or two —
+// has room again long before a sleep and its wake-up would have
+// completed, so as long as depth keeps moving the injector only yields.
+// When depth has stood still for injectSpin yields the nodes are busy
+// with long messages (or the injector is the extra runnable thread on a
+// machine they fill); it then parks, and handled wakes it at the
+// low-water mark, so one sleep buys room for depthCap/2 messages. An
+// injector that finds another one parked joins it at once: that the
+// pipeline is not moving has been established.
+func (lv *Live[L, R]) awaitRoom() bool {
+	seen := lv.depth.Load()
+	for still := 0; still < injectSpin && lv.roomWaiters.Load() == 0; still++ {
 		if lv.stop.Load() {
 			return false
 		}
 		runtime.Gosched()
+		d := lv.depth.Load()
+		if int(d) < lv.depthCap {
+			return true
+		}
+		if d != seen {
+			seen, still = d, 0
+		}
 	}
-	return lv.put(node, dir, msg)
+	lv.roomMu.Lock()
+	lv.roomWaiters.Add(1)
+	for int(lv.depth.Load()) >= lv.depthCap && !lv.stop.Load() {
+		lv.injectParks.Add(1)
+		lv.room.Wait()
+	}
+	lv.roomWaiters.Add(-1)
+	lv.roomMu.Unlock()
+	return !lv.stop.Load()
 }
+
+// wakeInjectors wakes every parked injector. The broadcast is issued
+// under roomMu: an injector holds it from raising roomWaiters until
+// Wait has queued it, so a ringer that saw the count cannot ring into
+// the gap between the injector's depth check and its sleep.
+func (lv *Live[L, R]) wakeInjectors() {
+	lv.roomMu.Lock()
+	lv.room.Broadcast()
+	lv.roomMu.Unlock()
+}
+
+// InjectParks returns how often an injector slept on DepthCap — ingress
+// back-pressure that outlasted the yield phase.
+func (lv *Live[L, R]) InjectParks() uint64 { return lv.injectParks.Load() }
 
 // put enqueues msg into links[node][dir] and rings the doorbell.
 // Interior links are unbounded, so put never blocks — a requirement,
@@ -258,7 +326,8 @@ func (lv *Live[L, R]) nodeLoop(k int) {
 // arrival moves the node's progress mark, whatever the handler left for
 // the collector is rung in — once per message, not once per result (a
 // futex wake per result is measurable on join-heavy batches) — and the
-// message is released.
+// message is released. Retiring it lowers depth, which is what parked
+// injectors wait for.
 func (lv *Live[L, R]) handled(em *liveEmitter[L, R], dir int, m core.Msg[L, R]) {
 	if m.Kind == core.KindArrival && m.Mode == core.ArriveFull {
 		ts, ok := int64(0), false
@@ -277,7 +346,9 @@ func (lv *Live[L, R]) handled(em *liveEmitter[L, R], dir int, m core.Msg[L, R]) 
 		lv.ringOutput()
 	}
 	lv.release(m)
-	lv.depth.Add(-1)
+	if d := lv.depth.Add(-1); int(d) <= lv.depthCap/2 && lv.roomWaiters.Load() != 0 {
+		lv.wakeInjectors()
+	}
 }
 
 // release retires one handled message against its recycling token, if
@@ -493,11 +564,12 @@ func (lv *Live[L, R]) quiet() bool {
 }
 
 // Stop terminates the node goroutines (after draining pending link
-// messages) and closes the result queues. It does not wait for a
-// quiescent protocol state; call Quiesce first when exact results
-// matter.
+// messages), closes the result queues and sends parked injectors home
+// with false. It does not wait for a quiescent protocol state; call
+// Quiesce first when exact results matter.
 func (lv *Live[L, R]) Stop() {
 	lv.stop.Store(true)
+	lv.wakeInjectors()
 	for k := range lv.notify {
 		select {
 		case lv.notify[k] <- struct{}{}:

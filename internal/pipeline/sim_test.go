@@ -174,3 +174,51 @@ func TestSimMaxQueuedEvents(t *testing.T) {
 		t.Fatalf("queue backlog %d for a light run; accounting broken", sim.MaxQueuedEvents())
 	}
 }
+
+// TestSimResultSequencePinned pins the simulator's result sequence —
+// pair, emitting order and virtual emission time, which folds in every
+// Cost call — for one jittered schedule per batch size. The digests were
+// recorded with the per-tuple arrival loop that scanned one tuple at a
+// time (`llhjtrace record` / `verify` is the same check by hand); node
+// logic that reorders, drops or re-prices a single probe changes them.
+func TestSimResultSequencePinned(t *testing.T) {
+	rs, ss := genStreams(600, 1000, 23)
+	for _, tc := range []struct {
+		nodes, batch int
+		want         uint64
+	}{
+		{2, 1, 0x7dc82c541c04945f},
+		{5, 4, 0x3c68bcabcfcb3345},
+		{3, 64, 0x3f6b2f00ce571c5},
+		{4, 200, 0xb507c85e06c3bcea},
+	} {
+		feed, err := NewFeed(feedConfig(rs, ss, WindowSpec{Count: 150}, WindowSpec{Count: 150}, tc.batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := DefaultCostModel()
+		cost.Jitter = 3000
+		cost.JitterSeed = 5
+		sim := NewSim(tc.nodes, llhjBuilder(tc.nodes, workload.BandPredicate), cost)
+		digest, n := uint64(14695981039346656037), 0
+		mix := func(v uint64) {
+			for i := 0; i < 8; i++ {
+				digest = (digest ^ (v >> (8 * i) & 0xff)) * 1099511628211
+			}
+		}
+		sim.OnResult(func(node int, r core.Result[workload.RTuple, workload.STuple]) {
+			mix(uint64(node))
+			mix(r.Pair.R.Seq)
+			mix(r.Pair.S.Seq)
+			mix(uint64(r.At))
+			n++
+		})
+		sim.Drain(feed)
+		if n == 0 {
+			t.Fatalf("nodes=%d batch=%d: no results", tc.nodes, tc.batch)
+		}
+		if digest != tc.want {
+			t.Errorf("nodes=%d batch=%d: %d results with digest %#x, recorded %#x", tc.nodes, tc.batch, n, digest, tc.want)
+		}
+	}
+}

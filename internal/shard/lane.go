@@ -1028,3 +1028,7 @@ func (l *Lane[L, R]) Punctuations() uint64 { return l.coll.Punctuations() }
 // costs; a lane nobody feeds adds to neither.
 func (l *Lane[L, R]) CollectorPasses() uint64  { return l.coll.Passes() }
 func (l *Lane[L, R]) CollectorWakeups() uint64 { return l.lv.OutputWakeups() }
+
+// InjectParks returns how often a driver call into this lane slept on
+// the pipeline's MaxInFlight bound.
+func (l *Lane[L, R]) InjectParks() uint64 { return l.lv.InjectParks() }

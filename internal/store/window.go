@@ -12,6 +12,20 @@
 // since expiries arrive in arrival order); removal uses tombstones with
 // amortized compaction so that secondary indexes stay valid.
 //
+// # Scanning: blocks of probes, not one probe at a time
+//
+// A linear scan on behalf of arrivals is a block scan (blockscan.go):
+// ScanBlock and ScanBlockSettled take the payloads of a whole run of
+// arriving tuples and the join predicate itself, walk the entries once
+// per tile of up to 64 probes — entry in the outer loop, probes in the
+// inner — and return the matches as (probe, slot) hits ordered exactly
+// as one scan per probe would have found them. An entry is loaded once
+// per tile instead of once per probe, and the predicate is the only
+// indirect call per comparison; the entry layout is what it was. There
+// are two functions because the predicate's argument order differs by
+// join side, and only S-side arrivals must skip expedited entries (the
+// per-entry callback scan that did that job, ScanSettled, is gone).
+//
 // # Storage layout: the ring-slot directory
 //
 // Entries live in a dense append-only slice (`entries`) compacted in
@@ -568,6 +582,9 @@ func (w *Window[T]) Get(seq uint64) (stream.Tuple[T], bool) {
 // ScanAll calls fn for every live entry in arrival order. Comparisons
 // performed by fn are the caller's business; ScanAll itself reports the
 // number of entries visited so cost models can account for scan work.
+// It is the cold-path scan — state-migration cursors, baselines, the
+// layer ladder; arrival probes use ScanBlock / ScanBlockSettled, which
+// do not pay a callback and a tuple copy per entry.
 func (w *Window[T]) ScanAll(fn func(stream.Tuple[T])) int {
 	n := 0
 	for i := w.head; i < len(w.entries); i++ {
@@ -577,25 +594,6 @@ func (w *Window[T]) ScanAll(fn func(stream.Tuple[T])) int {
 		}
 		fn(e.tuple)
 		n++
-	}
-	return n
-}
-
-// ScanSettled calls fn for every live entry whose expedition flag is
-// cleared, in arrival order, and returns the number of entries visited
-// (settled or not — a scan must inspect the flag of every live entry).
-func (w *Window[T]) ScanSettled(fn func(stream.Tuple[T])) int {
-	n := 0
-	for i := w.head; i < len(w.entries); i++ {
-		e := &w.entries[i]
-		if e.dead {
-			continue
-		}
-		n++
-		if e.expedited {
-			continue
-		}
-		fn(e.tuple)
 	}
 	return n
 }

@@ -13,12 +13,17 @@ func tup(seq uint64, v int) stream.Tuple[int] {
 
 func collect(w *Window[int], settledOnly bool) []uint64 {
 	var seqs []uint64
-	fn := func(t stream.Tuple[int]) { seqs = append(seqs, t.Seq) }
 	if settledOnly {
-		w.ScanSettled(fn)
-	} else {
-		w.ScanAll(fn)
+		// One probe every entry matches: the settled block scan's hit
+		// list is the settled entries in arrival order.
+		var sc BlockScratch
+		hits, _ := ScanBlockSettled(w, []struct{}{{}}, func(int, struct{}) bool { return true }, &sc)
+		for _, h := range hits {
+			seqs = append(seqs, w.At(h.Slot).Seq)
+		}
+		return seqs
 	}
+	w.ScanAll(func(t stream.Tuple[int]) { seqs = append(seqs, t.Seq) })
 	return seqs
 }
 

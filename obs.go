@@ -194,6 +194,7 @@ func gatherDump(snap Snapshot, hist *metrics.AtomicHistogram, ring *obs.Ring) ob
 	counter("llhj_wal_retries_total", "WAL append and checkpoint-write retry attempts.", snap.WALRetries)
 	counter("llhj_wal_sheds_total", "Transitions into the degraded (shed) durability state.", snap.WALSheds)
 	counter("llhj_admission_rejects_total", "Pushes rejected against MaxLiveTuples.", snap.AdmissionRejects)
+	counter("llhj_inject_parks_total", "Times ingress slept on MaxInFlight (a full pipeline that retired nothing while the pusher yielded).", snap.InjectParks)
 	b2i := func(b bool) int64 {
 		if b {
 			return 1

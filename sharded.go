@@ -167,10 +167,13 @@ type ShardedEngine[L, RT any] struct {
 // stream order); the push then enters the gate outside that lock, so
 // the lane append — which can block on a saturated pipeline's
 // back-pressure — stalls only pushers of the same lane instead of the
-// whole stream side. Waiting spins through the scheduler, the same
-// discipline the pipeline's Inject back-pressure uses: the uncontended
-// path is two atomic operations, and a waiter is by definition behind
-// a peer that is actively appending.
+// whole stream side. Waiting spins through the scheduler: the
+// uncontended path is two atomic operations, and a waiter is by
+// definition behind a peer that is appending — or, when that peer has
+// parked on its pipeline's MaxInFlight bound (pipeline.Live.Inject
+// yields only while the pipeline keeps moving, then sleeps), behind a
+// peer that is asleep, in which case the waiter here still yields in a
+// loop until the peer is woken and leaves the gate.
 type ingressGate struct {
 	tail atomic.Uint64 // tickets issued; written under the side lock
 	next atomic.Uint64 // tickets completed
@@ -1555,9 +1558,11 @@ func (e *ShardedEngine[L, RT]) Health() Health {
 // in-flight batches, and are exact once the engine is closed.
 func (e *ShardedEngine[L, RT]) Stats() Stats {
 	var agg core.Stats
+	var injectParks uint64
 	for _, l := range e.lanes {
 		a := l.PipelineStats()
 		agg.Add(a)
+		injectParks += l.InjectParks()
 	}
 	// Read the per-lane routing counters before the admission counters:
 	// every push path stores the seq counter first and adds lane
@@ -1594,6 +1599,7 @@ func (e *ShardedEngine[L, RT]) Stats() Stats {
 		WALRetries:          e.dur.walRetries.Load(),
 		WALSheds:            e.dur.sheds.Load(),
 		AdmissionRejects:    e.guard.rejected(),
+		InjectParks:         injectParks,
 	}
 	st.ShardIngress = shardIngress
 	if e.probeTab != nil {
